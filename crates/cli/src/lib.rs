@@ -566,8 +566,8 @@ SERVING:
 OBSERVABILITY:
   GET /metrics exposes counters, gauges, and log2-bucketed latency
   histograms for every route, pool scheduling, and kb publish/compaction
-  (per-route quantiles also appear in /stats under \"latency\" and
-  \"phases\"); every route's per-status latency families are registered
+  (every count lives there; /stats reports only KB, epoch, backend and
+  config facts); every route's per-status latency families are registered
   at boot, so scrapes before traffic already expose them. Appending
   ?trace=1 to any JSON endpoint embeds that request's per-phase timings
   in the response body; ?explain=1 on POST /query embeds the planner's

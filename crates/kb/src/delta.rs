@@ -32,7 +32,6 @@
 //! The §4 top-1% *eligibility* set itself stays frozen at load —
 //! ordinary appends never promote new objects into it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -511,6 +510,27 @@ pub struct Snapshot {
     pub fingerprint: u64,
 }
 
+impl Snapshot {
+    /// Triples in this epoch's delta overlay.
+    pub fn delta_triples(&self) -> usize {
+        match self.kb.store() {
+            StoreBackend::Layered(l) => l.delta_len(),
+            _ => 0,
+        }
+    }
+
+    /// Facts (inverses included) in this epoch's compacted base.
+    pub fn base_facts(&self) -> usize {
+        let base = match self.kb.store() {
+            StoreBackend::Layered(l) => l.base().as_ref(),
+            other => other,
+        };
+        (0..base.num_preds())
+            .map(|p| base.num_facts(PredId(p as u32)))
+            .sum()
+    }
+}
+
 /// What one append batch did.
 #[derive(Debug, Clone, Default)]
 pub struct AppendOutcome {
@@ -543,36 +563,20 @@ pub struct CompactOutcome {
     pub duration: Duration,
 }
 
-/// Point-in-time counters for `/stats`-style reporting.
-#[derive(Debug, Clone, Default)]
-pub struct LiveStats {
-    /// Current epoch.
-    pub epoch: u64,
-    /// Current fingerprint.
-    pub fingerprint: u64,
-    /// Triples currently in the delta overlay.
-    pub delta_triples: u64,
-    /// Facts (inverses included) in the compacted base.
-    pub base_facts: u64,
-    /// Append batches accepted.
-    pub appends: u64,
-    /// Triples appended across all batches (mirrors included).
-    pub appended_triples: u64,
-    /// Staged triples dropped as duplicates.
-    pub duplicate_triples: u64,
-    /// Completed compactions.
-    pub compactions: u64,
-    /// Duration of the most recent compaction, in microseconds.
-    pub last_compaction_us: u64,
-}
-
-/// Ingestion observability: histograms over the costs the compaction
-/// policy exists to bound. Instruments are `Arc`s so an embedding layer
-/// (the HTTP server) can register the very same cells in a
-/// `remi_obs::Registry`; [`LiveKb::fork`] shares its parent's instruments,
-/// so what-if forks report into the same series.
+/// Ingestion observability: the live KB's only event counters, plus
+/// histograms over the costs the compaction policy exists to bound.
+/// Instruments are `Arc`s so an embedding layer (the HTTP server) can
+/// register the very same cells in a `remi_obs::Registry`;
+/// [`LiveKb::fork`] shares its parent's instruments, so what-if forks
+/// report into the same series.
 #[derive(Debug, Clone, Default)]
 pub struct KbInstruments {
+    /// Append batches that accepted at least one triple (one publish each).
+    pub appends: Arc<remi_obs::Counter>,
+    /// Triples accepted across all batches (inverse mirrors included).
+    pub appended_triples: Arc<remi_obs::Counter>,
+    /// Staged triples dropped because base, delta, or the batch held them.
+    pub duplicate_triples: Arc<remi_obs::Counter>,
     /// Wall time of each epoch publish (delta rebuild + snapshot swap).
     pub publish_ns: Arc<remi_obs::Histogram>,
     /// Accepted triples per publishing append batch.
@@ -716,13 +720,6 @@ pub struct LiveKb {
     /// writer's delta). Appends never take this lock.
     compact_gate: Mutex<()>,
     policy: CompactionPolicy,
-    delta_gauge: AtomicU64,
-    base_facts_gauge: AtomicU64,
-    appends: AtomicU64,
-    appended: AtomicU64,
-    duplicates: AtomicU64,
-    compactions: AtomicU64,
-    last_compaction_us: AtomicU64,
     instruments: KbInstruments,
 }
 
@@ -817,9 +814,6 @@ impl LiveKb {
         let num_preds = kb.num_preds();
         let (nodes, preds, store, node_freq, n_base_triples) = kb.into_parts();
         let base = Arc::new(store);
-        let base_facts: usize = (0..num_preds)
-            .map(|p| base.num_facts(PredId(p as u32)))
-            .sum();
         let delta = DeltaStore::build(&base, num_preds, Vec::new());
         let layered = StoreBackend::Layered(LayeredStore::new(Arc::clone(&base), Arc::new(delta)));
         let kb = KnowledgeBase::from_parts(
@@ -845,13 +839,6 @@ impl LiveKb {
             }),
             compact_gate: Mutex::new(()),
             policy,
-            delta_gauge: AtomicU64::new(0),
-            base_facts_gauge: AtomicU64::new(base_facts as u64),
-            appends: AtomicU64::new(0),
-            appended: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            last_compaction_us: AtomicU64::new(0),
             instruments: KbInstruments::default(),
         }
     }
@@ -873,6 +860,12 @@ impl LiveKb {
     /// fingerprint is reused instead of being recomputed from scratch the
     /// way [`LiveKb::with_policy`] must. This is what makes speculative
     /// what-if ingestion (and fixed-size ingest benchmarking) cheap.
+    ///
+    /// Forks share [`KbInstruments`] — event counters as well as
+    /// histograms and the flight-recorder attachment — so a fork's
+    /// appends and compactions count in the parent's series. State is
+    /// not shared: the compaction policy reads each side's own delta and
+    /// base, so a fork's appends never make the parent need compaction.
     pub fn fork(&self) -> LiveKb {
         let w = self.lock_writer();
         // Writer lock held ⇒ no publish can race; `current` is consistent
@@ -890,13 +883,6 @@ impl LiveKb {
             current: RwLock::new(snap),
             compact_gate: Mutex::new(()),
             policy: self.policy,
-            delta_gauge: AtomicU64::new(self.delta_gauge.load(Ordering::Relaxed)),
-            base_facts_gauge: AtomicU64::new(self.base_facts_gauge.load(Ordering::Relaxed)),
-            appends: AtomicU64::new(self.appends.load(Ordering::Relaxed)),
-            appended: AtomicU64::new(self.appended.load(Ordering::Relaxed)),
-            duplicates: AtomicU64::new(self.duplicates.load(Ordering::Relaxed)),
-            compactions: AtomicU64::new(self.compactions.load(Ordering::Relaxed)),
-            last_compaction_us: AtomicU64::new(self.last_compaction_us.load(Ordering::Relaxed)),
             instruments: self.instruments.clone(),
         }
     }
@@ -1060,8 +1046,7 @@ impl LiveKb {
             }
         }
 
-        self.duplicates
-            .fetch_add(duplicates as u64, Ordering::Relaxed);
+        self.instruments.duplicate_triples.add(duplicates as u64);
         let mut out = AppendOutcome {
             appended: accepted.len(),
             duplicates,
@@ -1076,9 +1061,8 @@ impl LiveKb {
             out.delta_triples = w.delta.len();
             return out;
         }
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        self.appended
-            .fetch_add(accepted.len() as u64, Ordering::Relaxed);
+        self.instruments.appends.inc();
+        self.instruments.appended_triples.add(accepted.len() as u64);
 
         w.delta.extend_from_slice(&accepted);
         w.delta.sort_unstable();
@@ -1124,8 +1108,6 @@ impl LiveKb {
             w.node_freq.clone(),
             w.n_base_triples,
         );
-        self.delta_gauge
-            .store(w.delta.len() as u64, Ordering::Relaxed);
         let mut current = self.current.write();
         current.kb = Arc::new(kb);
         current.epoch += 1;
@@ -1151,13 +1133,15 @@ impl LiveKb {
     /// True when the configured policy says the delta has outgrown the
     /// overlay and should be folded into a fresh base.
     pub fn needs_compaction(&self) -> bool {
-        let delta = self.delta_gauge.load(Ordering::Relaxed) as usize;
-        let base = self.base_facts_gauge.load(Ordering::Relaxed) as f64;
-        let threshold = self
-            .policy
-            .min_delta
-            .max((base * self.policy.delta_fraction) as usize);
-        delta > 0 && delta >= threshold
+        let snap = self.snapshot();
+        let delta = snap.delta_triples();
+        // The relative bound is O(predicates); skip it when it is off.
+        let relative = if self.policy.delta_fraction > 0.0 {
+            (snap.base_facts() as f64 * self.policy.delta_fraction) as usize
+        } else {
+            0
+        };
+        delta > 0 && delta >= self.policy.min_delta.max(relative)
     }
 
     /// Folds the current delta into a fresh base store (same layout as
@@ -1196,11 +1180,6 @@ impl LiveKb {
         let folded: &[Triple] = folded_triples.triples();
         w.delta.retain(|t| folded.binary_search(t).is_err());
         w.base = Arc::new(new_base);
-        let base_facts: usize = (0..w.base.num_preds())
-            .map(|p| w.base.num_facts(PredId(p as u32)))
-            .sum();
-        self.base_facts_gauge
-            .store(base_facts as u64, Ordering::Relaxed);
         let (epoch, _) = self.publish(&w, None);
         drop(w);
 
@@ -1208,9 +1187,6 @@ impl LiveKb {
         self.instruments.compact_ns.record(elapsed_ns);
         self.instruments.compactions_performed.inc();
         let duration = Duration::from_nanos(elapsed_ns);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.last_compaction_us
-            .store(duration.as_micros() as u64, Ordering::Relaxed);
         if let Some(ev) = self.instruments.events.lock().as_ref() {
             ev.record_compact(Some(folded.len()), duration.as_micros() as u64, epoch);
         }
@@ -1219,22 +1195,6 @@ impl LiveKb {
             folded: folded.len(),
             epoch,
             duration,
-        }
-    }
-
-    /// Point-in-time counters.
-    pub fn stats(&self) -> LiveStats {
-        let snap = self.snapshot();
-        LiveStats {
-            epoch: snap.epoch,
-            fingerprint: snap.fingerprint,
-            delta_triples: self.delta_gauge.load(Ordering::Relaxed),
-            base_facts: self.base_facts_gauge.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            appended_triples: self.appended.load(Ordering::Relaxed),
-            duplicate_triples: self.duplicates.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            last_compaction_us: self.last_compaction_us.load(Ordering::Relaxed),
         }
     }
 }
@@ -1528,13 +1488,34 @@ mod tests {
             iri3("e:Paris", "p:cityIn", "e:France"),
         ]);
         live.compact();
-        let stats = live.stats();
-        assert_eq!(stats.appends, 1);
-        assert_eq!(stats.appended_triples, 1);
-        assert_eq!(stats.duplicate_triples, 1);
-        assert_eq!(stats.compactions, 1);
-        assert_eq!(stats.delta_triples, 0);
-        assert_eq!(stats.epoch, 2);
+        let ki = live.instruments();
+        assert_eq!(ki.appends.get(), 1);
+        assert_eq!(ki.appended_triples.get(), 1);
+        assert_eq!(ki.duplicate_triples.get(), 1);
+        assert_eq!(ki.compactions_performed.get(), 1);
+        let snap = live.snapshot();
+        assert_eq!(snap.delta_triples(), 0);
+        assert_eq!(snap.base_facts(), 4);
+        assert_eq!(snap.epoch, 2);
+    }
+
+    #[test]
+    fn fork_appends_leave_the_parent_compaction_state_alone() {
+        let live = LiveKb::with_policy(
+            base_kb(),
+            CompactionPolicy {
+                min_delta: 1,
+                delta_fraction: 0.0,
+            },
+        );
+        let fork = live.fork();
+        fork.append(vec![iri3("e:Nice", "p:cityIn", "e:France")]);
+        assert!(fork.needs_compaction());
+        assert!(!live.needs_compaction());
+        assert_eq!(live.snapshot().delta_triples(), 0);
+        // Event counters are fork-shared: the fork's batch counts in the
+        // parent's series.
+        assert_eq!(live.instruments().appends.get(), 1);
     }
 
     #[test]

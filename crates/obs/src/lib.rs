@@ -42,5 +42,5 @@ pub use metrics::{
     bucket_index, bucket_lower_edge, bucket_upper_edge, Counter, Gauge, Histogram,
     HistogramSnapshot, BUCKETS,
 };
-pub use registry::{series, PromText, Registry};
+pub use registry::{series, Registry};
 pub use span::{Span, SpanReport};

@@ -177,18 +177,17 @@ impl Registry {
     }
 }
 
-/// An incremental Prometheus text writer, also usable for ad-hoc
-/// point-in-time series (cache stats, KB epoch) that aren't registry
-/// residents. Emits each family's `# TYPE` line exactly once, on first
-/// sight.
+/// The incremental Prometheus text writer behind
+/// [`Registry::render_prometheus`]. Emits each family's `# TYPE` line
+/// exactly once, on first sight.
 #[derive(Default)]
-pub struct PromText {
+struct PromText {
     out: String,
     typed: Vec<String>,
 }
 
 impl PromText {
-    pub fn new() -> Self {
+    fn new() -> Self {
         PromText::default()
     }
 
@@ -200,13 +199,13 @@ impl PromText {
         let _ = writeln!(self.out, "# TYPE {family} {kind}");
     }
 
-    pub fn counter(&mut self, name: &str, value: u64) {
+    fn counter(&mut self, name: &str, value: u64) {
         let (family, _) = split_series(name);
         self.type_line(family, "counter");
         let _ = writeln!(self.out, "{name} {value}");
     }
 
-    pub fn gauge(&mut self, name: &str, value: u64) {
+    fn gauge(&mut self, name: &str, value: u64) {
         let (family, _) = split_series(name);
         self.type_line(family, "gauge");
         let _ = writeln!(self.out, "{name} {value}");
@@ -215,7 +214,7 @@ impl PromText {
     /// Render a histogram as cumulative `_bucket{le=...}` series (buckets
     /// past the last occupied one are elided; `+Inf` always present) plus
     /// `_sum` and `_count`.
-    pub fn histogram(&mut self, name: &str, h: &Histogram) {
+    fn histogram(&mut self, name: &str, h: &Histogram) {
         let snap = h.snapshot();
         let (family, labels) = split_series(name);
         self.type_line(family, "histogram");
@@ -252,7 +251,7 @@ impl PromText {
         let _ = writeln!(self.out, "{family}_count{suffix} {}", snap.count());
     }
 
-    pub fn into_string(self) -> String {
+    fn into_string(self) -> String {
         self.out
     }
 }

@@ -162,8 +162,8 @@ fn ingest_payload(client: usize, seq: usize) -> String {
 }
 
 /// Latency quantile line from a histogram snapshot (nanosecond
-/// observations rendered in µs — the same `remi-obs` estimation the
-/// server's `/stats` latency section uses).
+/// observations rendered in µs — the same `remi-obs` bucket estimation
+/// that applies to the server's `/v1/metrics` histograms).
 fn quantile_line(s: &HistogramSnapshot) -> String {
     if s.count() == 0 {
         return "n/a".to_string();

@@ -7,14 +7,15 @@
 //! dead generations eagerly instead of waiting for LRU pressure to push
 //! them out. The cache bounds memory (LRU per shard) and contention
 //! (shard-per-key-hash, one mutex each, in the style of sharded web-cache
-//! tiers). Hit/miss/eviction/purge counts are surfaced through `/stats`.
+//! tiers). Hit/miss/eviction/purge counts live in the server's metrics
+//! registry and are exposed by `/v1/metrics` as `remi_cache_*_total`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use remi_kb::cache::LruCache;
+use remi_obs::{Counter, Registry};
 
 /// A cache key: the entity plus fingerprints of everything else that
 /// determines the response bytes.
@@ -29,23 +30,6 @@ pub struct CacheKey {
     pub kb: u64,
 }
 
-/// A point-in-time snapshot of the cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to mining.
-    pub misses: u64,
-    /// Entries displaced by the LRU bound.
-    pub evictions: u64,
-    /// Stale-generation entries dropped by fingerprint rotation.
-    pub purged: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-    /// Total capacity across shards (0 = caching disabled).
-    pub capacity: u64,
-}
-
 const SHARDS: usize = 16;
 
 /// A sharded LRU over rendered response bodies. Capacity 0 disables
@@ -54,17 +38,22 @@ const SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct ResponseCache {
     shards: Vec<Mutex<LruCache<CacheKey, Arc<str>>>>,
-    evictions: AtomicU64,
-    purged: AtomicU64,
-    /// Misses on a disabled cache (shards empty) still need accounting.
-    disabled_misses: AtomicU64,
+    /// Lookups answered from the cache.
+    hits: Arc<Counter>,
+    /// Lookups that fell through to rendering.
+    misses: Arc<Counter>,
+    /// Entries displaced by the LRU bound.
+    evictions: Arc<Counter>,
+    /// Stale-generation entries dropped by fingerprint rotation.
+    purged: Arc<Counter>,
     capacity: usize,
 }
 
 impl ResponseCache {
     /// A cache holding at most `capacity` entries, spread over up to 16
-    /// shards.
-    pub fn new(capacity: usize) -> ResponseCache {
+    /// shards, counting into `remi_cache_{hits,misses,evictions,purged}_total`
+    /// on `registry`.
+    pub fn new(capacity: usize, registry: &Registry) -> ResponseCache {
         let shards = if capacity == 0 {
             Vec::new()
         } else {
@@ -78,11 +67,22 @@ impl ResponseCache {
         };
         ResponseCache {
             shards,
-            evictions: AtomicU64::new(0),
-            purged: AtomicU64::new(0),
-            disabled_misses: AtomicU64::new(0),
+            hits: registry.counter("remi_cache_hits_total"),
+            misses: registry.counter("remi_cache_misses_total"),
+            evictions: registry.counter("remi_cache_evictions_total"),
+            purged: registry.counter("remi_cache_purged_total"),
             capacity,
         }
+    }
+
+    /// Total capacity across shards (0 = caching disabled).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Entries currently resident across all shards.
+    pub fn entries(&self) -> usize {
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
     }
 
     /// Drops every entry whose KB fingerprint differs from `live_fp` —
@@ -95,7 +95,7 @@ impl ResponseCache {
             let mut shard = shard.lock();
             purged += shard.retain(|key, _| key.kb == live_fp) as u64;
         }
-        self.purged.fetch_add(purged, Ordering::Relaxed);
+        self.purged.add(purged);
         purged
     }
 
@@ -109,12 +109,16 @@ impl ResponseCache {
 
     /// Looks up a rendered body, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<str>> {
-        if self.shards.is_empty() {
-            self.disabled_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let found = if self.shards.is_empty() {
+            None
+        } else {
+            self.shard(key).lock().get(key).cloned()
+        };
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
-        let mut shard = self.shard(key).lock();
-        shard.get(key).cloned()
+        found
     }
 
     /// Inserts a rendered body, evicting the shard's LRU entry when full.
@@ -124,27 +128,9 @@ impl ResponseCache {
         }
         let mut shard = self.shard(&key).lock();
         if shard.len() == shard.capacity() && shard.peek(&key).is_none() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.inc();
         }
         shard.put(key, body);
-    }
-
-    /// Aggregated counters across shards.
-    pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats {
-            evictions: self.evictions.load(Ordering::Relaxed),
-            purged: self.purged.load(Ordering::Relaxed),
-            misses: self.disabled_misses.load(Ordering::Relaxed),
-            capacity: self.capacity as u64,
-            ..CacheStats::default()
-        };
-        for shard in &self.shards {
-            let shard = shard.lock();
-            stats.hits += shard.hits();
-            stats.misses += shard.misses();
-            stats.entries += shard.len() as u64;
-        }
-        stats
     }
 }
 
@@ -159,34 +145,37 @@ mod tests {
         }
     }
 
+    fn new_cache(capacity: usize) -> ResponseCache {
+        ResponseCache::new(capacity, &Registry::new())
+    }
+
     #[test]
     fn hit_miss_and_eviction_accounting() {
-        let cache = ResponseCache::new(1); // single shard, single entry
+        let cache = new_cache(1); // single shard, single entry
         assert!(cache.get(&key("a")).is_none());
         cache.put(key("a"), "A".into());
         assert_eq!(cache.get(&key("a")).as_deref(), Some("A"));
         cache.put(key("b"), "B".into()); // evicts a
         assert!(cache.get(&key("a")).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.capacity, 1);
+        assert_eq!(cache.hits.get(), 1);
+        assert_eq!(cache.misses.get(), 2);
+        assert_eq!(cache.evictions.get(), 1);
+        assert_eq!(cache.entries(), 1);
+        assert_eq!(cache.capacity(), 1);
     }
 
     #[test]
     fn rewriting_a_key_is_not_an_eviction() {
-        let cache = ResponseCache::new(1);
+        let cache = new_cache(1);
         cache.put(key("a"), "A".into());
         cache.put(key("a"), "A2".into());
-        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.evictions.get(), 0);
         assert_eq!(cache.get(&key("a")).as_deref(), Some("A2"));
     }
 
     #[test]
     fn distinct_kb_fingerprints_do_not_collide() {
-        let cache = ResponseCache::new(64);
+        let cache = new_cache(64);
         cache.put(
             CacheKey {
                 request: "r".into(),
@@ -223,18 +212,17 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching_but_counts_misses() {
-        let cache = ResponseCache::new(0);
+        let cache = new_cache(0);
         cache.put(key("a"), "A".into());
         assert!(cache.get(&key("a")).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.capacity, 0);
-        assert_eq!(stats.entries, 0);
+        assert_eq!(cache.misses.get(), 1);
+        assert_eq!(cache.capacity(), 0);
+        assert_eq!(cache.entries(), 0);
     }
 
     #[test]
     fn purge_stale_drops_only_dead_generations() {
-        let cache = ResponseCache::new(64);
+        let cache = new_cache(64);
         for fp in [1u64, 2, 3] {
             for i in 0..5 {
                 cache.put(
@@ -248,9 +236,8 @@ mod tests {
         }
         let purged = cache.purge_stale(3);
         assert_eq!(purged, 10, "two dead generations of five entries");
-        let stats = cache.stats();
-        assert_eq!(stats.purged, 10);
-        assert_eq!(stats.entries, 5);
+        assert_eq!(cache.purged.get(), 10);
+        assert_eq!(cache.entries(), 5);
         // The live generation survives byte-for-byte.
         for i in 0..5 {
             assert_eq!(
@@ -266,7 +253,7 @@ mod tests {
         // Purging again is a no-op.
         assert_eq!(cache.purge_stale(3), 0);
         // A disabled cache purges nothing and never panics.
-        assert_eq!(ResponseCache::new(0).purge_stale(3), 0);
+        assert_eq!(new_cache(0).purge_stale(3), 0);
     }
 
     #[test]
@@ -274,7 +261,7 @@ mod tests {
         // Satellite test: many threads hammer a small cache; afterwards the
         // resident-entry bound holds and hits + misses equals the exact
         // number of get() calls issued.
-        let cache = Arc::new(ResponseCache::new(32));
+        let cache = Arc::new(new_cache(32));
         let threads = 8;
         let gets_per_thread = 2_000;
         std::thread::scope(|scope| {
@@ -290,20 +277,22 @@ mod tests {
                 });
             }
         });
-        let stats = cache.stats();
         assert_eq!(
-            stats.hits + stats.misses,
+            cache.hits.get() + cache.misses.get(),
             (threads * gets_per_thread) as u64
         );
         assert!(
-            stats.entries <= 32 + 15, // per-shard rounding: ceil(32/16)*16
+            cache.entries() <= 32 + 15, // per-shard rounding: ceil(32/16)*16
             "entries {} exceed the rounded capacity",
-            stats.entries
+            cache.entries()
         );
         assert!(
-            stats.hits > 0,
+            cache.hits.get() > 0,
             "a 101-key working set must hit a 32-entry LRU"
         );
-        assert!(stats.evictions > 0, "a 101-key working set must evict");
+        assert!(
+            cache.evictions.get() > 0,
+            "a 101-key working set must evict"
+        );
     }
 }

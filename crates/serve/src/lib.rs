@@ -13,7 +13,8 @@
 //!   bounds on head/body sizes (400/404/405/413/500/503 mapping).
 //! * [`json`] — escaping, a canonical writer, and a minimal body parser.
 //! * [`cache`] — the sharded LRU response cache keyed by
-//!   `(request, KB fingerprint)` with hit/miss/eviction counters.
+//!   `(request, KB fingerprint)`, counting hits/misses/evictions/purges
+//!   into the metrics registry.
 //! * [`client`] — the tiny blocking client used by tests, the example,
 //!   and the load generator.
 //! * [`serve`] / [`ServerHandle`] — the server itself: keep-alive
@@ -33,7 +34,7 @@
 //! | route                        | answer                                   |
 //! |------------------------------|------------------------------------------|
 //! | `GET /v1/healthz`            | liveness (exempt from request shedding)  |
-//! | `GET /v1/stats`              | KB + backend + cache + server metrics    |
+//! | `GET /v1/stats`              | KB, epoch, backend and config facts      |
 //! | `GET /v1/metrics`            | Prometheus text exposition (`remi-obs`)  |
 //! | `GET /v1/describe/{entity}`  | best RE(s); `?k=&threads=&backend=`      |
 //! | `POST /v1/describe`          | batched entity list, one shared miner    |
@@ -72,7 +73,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use remi_obs::{
-    series, Clock as _, Counter, Gauge, Histogram, MonoClock, PromText, Recorder, Registry, Span,
+    series, Clock as _, Counter, Gauge, Histogram, MonoClock, Recorder, Registry, Span,
 };
 
 use remi_core::topk::describe_top_k;
@@ -343,11 +344,19 @@ pub fn summarize_body(
 // ---------------------------------------------------------------------------
 // Server state
 
-/// Request/connection counters, all monotonic except the two gauges
-/// (which saturate at zero on decrement — the historical
-/// `connections_open` underflow on the parked-connection revive path
-/// cannot recur). Every cell is an `Arc` created through the registry, so
-/// `/v1/metrics` renders the same instruments `/stats` reads.
+/// The fixed request-phase vocabulary: each name is one histogram series
+/// (`remi_http_phase_duration_ns{phase=…}`) and one segment a [`Trace`]
+/// can close.
+const PHASES: &[&str] = &["parse", "admission", "cache", "mine", "ingest", "write"];
+
+/// The serve layer's instruments, every one an `Arc` created through the
+/// registry at boot so `/v1/metrics` exposes it from the first scrape.
+/// Counters are monotonic; `connections_open` and `inflight` saturate at
+/// zero on decrement (the historical `connections_open` underflow on the
+/// parked-connection revive path cannot recur). The per-route 200-status
+/// latency histograms are resolved once (aligned with `router::TABLE`),
+/// so the hot path records without touching the registry lock; non-200
+/// series go through get-or-create, which only rare responses pay for.
 struct Metrics {
     requests: Arc<Counter>,
     ok: Arc<Counter>,
@@ -357,37 +366,6 @@ struct Metrics {
     connections_total: Arc<Counter>,
     connections_open: Arc<Gauge>,
     inflight: Arc<Gauge>,
-}
-
-impl Metrics {
-    /// Creates every counter/gauge through `registry` get-or-create so the
-    /// cells are exposition residents from boot.
-    fn register(registry: &Registry) -> Metrics {
-        let class =
-            |c: &str| registry.counter(&series("remi_http_responses_total", &[("class", c)]));
-        Metrics {
-            requests: registry.counter("remi_http_requests_total"),
-            ok: class("ok"),
-            client_errors: class("client_error"),
-            server_errors: class("server_error"),
-            shed: registry.counter("remi_http_shed_total"),
-            connections_total: registry.counter("remi_connections_total"),
-            connections_open: registry.gauge("remi_connections_open"),
-            inflight: registry.gauge("remi_http_inflight"),
-        }
-    }
-}
-
-/// The fixed request-phase vocabulary: each name is one histogram series
-/// (`remi_http_phase_duration_ns{phase=…}`) and one segment a [`Trace`]
-/// can close.
-const PHASES: &[&str] = &["parse", "admission", "cache", "mine", "ingest", "write"];
-
-/// Pre-resolved HTTP instruments. The per-route 200-status latency
-/// histograms are looked up once at boot (aligned with `router::TABLE`),
-/// so the hot path records without touching the registry lock; non-200
-/// series go through get-or-create, which only rare responses pay for.
-struct HttpMetrics {
     /// `(route name, histogram)` for `status="200"`, one per table row.
     route_ok: Vec<(&'static str, Arc<Histogram>)>,
     /// `(phase name, histogram)`, one per [`PHASES`] entry.
@@ -404,8 +382,8 @@ struct HttpMetrics {
 /// them via get-or-create.
 const PREREGISTERED_STATUSES: &[&str] = &["200", "400", "500", "503"];
 
-impl HttpMetrics {
-    fn register(registry: &Registry) -> HttpMetrics {
+impl Metrics {
+    fn register(registry: &Registry) -> Metrics {
         for r in router::TABLE {
             for status in PREREGISTERED_STATUSES {
                 registry.histogram(&series(
@@ -414,7 +392,17 @@ impl HttpMetrics {
                 ));
             }
         }
-        HttpMetrics {
+        let class =
+            |c: &str| registry.counter(&series("remi_http_responses_total", &[("class", c)]));
+        Metrics {
+            requests: registry.counter("remi_http_requests_total"),
+            ok: class("ok"),
+            client_errors: class("client_error"),
+            server_errors: class("server_error"),
+            shed: registry.counter("remi_http_shed_total"),
+            connections_total: registry.counter("remi_connections_total"),
+            connections_open: registry.gauge("remi_connections_open"),
+            inflight: registry.gauge("remi_http_inflight"),
             route_ok: router::TABLE
                 .iter()
                 .map(|r| {
@@ -464,15 +452,14 @@ pub(crate) struct AppState {
     converted: Mutex<Option<(u64, u64, Arc<KnowledgeBase>)>>,
     cache: ResponseCache,
     metrics: Metrics,
-    /// Every named instrument `/v1/metrics` renders: the HTTP cells above,
-    /// the shared pool's scheduling counters, and the live KB's
-    /// publish/compaction instruments.
+    /// The one store of every count `/v1/metrics` renders: the HTTP cells
+    /// above, the cache's counters, the shared pool's scheduling
+    /// counters, and the live KB's ingest/publish/compaction instruments.
     pub(crate) registry: Registry,
     /// The one monotonic time source for request spans, idle deadlines,
     /// and uptime (`remi-lint` rejects raw `Instant::now` in instrumented
     /// files — all serve timing flows through this clock).
     pub(crate) clock: MonoClock,
-    http: HttpMetrics,
     slow_request_ms: Option<u64>,
     max_inflight: u64,
     /// Hard cap on simultaneously open connections (4 × `max_inflight`,
@@ -683,10 +670,10 @@ pub(crate) fn handle_healthz(
 }
 
 /// `GET /metrics`: every registered instrument (HTTP latency and phase
-/// histograms, connection/request counters, pool scheduling, KB
-/// publish/compaction) in Prometheus text exposition format, plus ad-hoc
-/// point-in-time series — cache and live-KB levels, uptime — sampled at
-/// render time.
+/// histograms, request/connection/cache counters, pool scheduling, KB
+/// ingest/publish/compaction) in Prometheus text exposition format. The
+/// level gauges (epoch, triples, delta, cache entries, uptime) are set
+/// from the pinned snapshot first, so the registry renders everything.
 pub(crate) fn handle_metrics(
     state: &AppState,
     snap: &Snapshot,
@@ -694,24 +681,20 @@ pub(crate) fn handle_metrics(
     _tail: &str,
     _trace: &mut Trace<'_>,
 ) -> Response {
-    let mut text = state.registry.render_prometheus();
-    let cache = state.cache.stats();
-    let live = state.live.stats();
-    let mut w = PromText::new();
-    w.counter("remi_cache_hits_total", cache.hits);
-    w.counter("remi_cache_misses_total", cache.misses);
-    w.counter("remi_cache_evictions_total", cache.evictions);
-    w.counter("remi_cache_purged_total", cache.purged);
-    w.gauge("remi_cache_entries", cache.entries);
-    w.gauge("remi_kb_epoch", snap.epoch);
-    w.gauge("remi_kb_delta_triples", live.delta_triples);
-    w.gauge("remi_kb_triples", snap.kb.num_triples() as u64);
-    w.counter("remi_kb_ingests_total", live.appends);
-    w.gauge("remi_uptime_seconds", state.clock.now_ns() / 1_000_000_000);
-    text.push_str(&w.into_string());
-    Response::text(text)
+    let r = &state.registry;
+    r.gauge("remi_kb_epoch").set(snap.epoch);
+    r.gauge("remi_kb_triples").set(snap.kb.num_triples() as u64);
+    r.gauge("remi_kb_delta_triples")
+        .set(snap.delta_triples() as u64);
+    r.gauge("remi_cache_entries")
+        .set(state.cache.entries() as u64);
+    r.gauge("remi_uptime_seconds")
+        .set(state.clock.now_ns() / 1_000_000_000);
+    Response::text(r.render_prometheus())
 }
 
+/// `GET /stats`: facts about the pinned snapshot and the configuration.
+/// Counts and latencies live in `/v1/metrics` only.
 pub(crate) fn handle_stats(
     state: &AppState,
     snap: &Snapshot,
@@ -720,9 +703,6 @@ pub(crate) fn handle_stats(
     _trace: &mut Trace<'_>,
 ) -> Response {
     let kb = &snap.kb;
-    let cache = state.cache.stats();
-    let live = state.live.stats();
-    let m = &state.metrics;
     let mut residents: Vec<(Backend, Arc<KnowledgeBase>)> =
         vec![(state.primary, Arc::clone(&snap.kb))];
     if let Some(converted) = state.resident_converted(snap) {
@@ -759,13 +739,8 @@ pub(crate) fn handle_stats(
             "live",
             &JsonObject::new()
                 .field_u64("epoch", snap.epoch)
-                .field_u64("delta_triples", live.delta_triples)
-                .field_u64("base_facts", live.base_facts)
-                .field_u64("ingests", live.appends)
-                .field_u64("ingested_triples", live.appended_triples)
-                .field_u64("duplicate_triples", live.duplicate_triples)
-                .field_u64("compactions", live.compactions)
-                .field_u64("last_compaction_us", live.last_compaction_us)
+                .field_u64("delta_triples", snap.delta_triples() as u64)
+                .field_u64("base_facts", snap.base_facts() as u64)
                 .field_bool(
                     "compaction_running",
                     state.compaction_running.load(Ordering::Acquire),
@@ -782,64 +757,16 @@ pub(crate) fn handle_stats(
         .field_raw(
             "cache",
             &JsonObject::new()
-                .field_u64("hits", cache.hits)
-                .field_u64("misses", cache.misses)
-                .field_u64("evictions", cache.evictions)
-                .field_u64("purged", cache.purged)
-                .field_u64("entries", cache.entries)
-                .field_u64("capacity", cache.capacity)
+                .field_u64("capacity", state.cache.capacity() as u64)
                 .finish(),
         )
         .field_raw(
             "server",
             &JsonObject::new()
-                .field_u64("requests", m.requests.get())
-                .field_u64("ok", m.ok.get())
-                .field_u64("client_errors", m.client_errors.get())
-                .field_u64("server_errors", m.server_errors.get())
-                .field_u64("shed", m.shed.get())
-                .field_u64("connections_total", m.connections_total.get())
-                .field_u64("connections_open", m.connections_open.get())
-                .field_u64("inflight", m.inflight.get())
                 .field_u64("max_inflight", state.max_inflight)
                 .field_u64("max_connections", state.max_conns)
-                .field_u64("uptime_ms", state.clock.now_ns() / 1_000_000)
                 .finish(),
         )
-        .field_raw("latency", &{
-            // Per-route latency quantiles (200s only — error paths are in
-            // `/v1/metrics` under their own status label).
-            let mut obj = JsonObject::new();
-            for (route, h) in &state.http.route_ok {
-                let s = h.snapshot();
-                obj = obj.field_raw(
-                    route,
-                    &JsonObject::new()
-                        .field_u64("count", s.count())
-                        .field_u64("p50_ns", s.p50())
-                        .field_u64("p90_ns", s.p90())
-                        .field_u64("p99_ns", s.p99())
-                        .field_u64("max_ns", s.max())
-                        .finish(),
-                );
-            }
-            obj.finish()
-        })
-        .field_raw("phases", &{
-            let mut obj = JsonObject::new();
-            for (phase, h) in &state.http.phases {
-                let s = h.snapshot();
-                obj = obj.field_raw(
-                    phase,
-                    &JsonObject::new()
-                        .field_u64("count", s.count())
-                        .field_u64("mean_ns", s.mean())
-                        .field_u64("p90_ns", s.p90())
-                        .finish(),
-                );
-            }
-            obj.finish()
-        })
         .finish();
     Response::ok(body)
 }
@@ -1174,7 +1101,7 @@ fn finish_request(state: &AppState, trace: Trace<'_>, status: u16) {
     let report = trace.span.finish();
     if status == 200 {
         // The hot path: pre-resolved at boot, no registry lock.
-        if let Some((_, h)) = state.http.route_ok.iter().find(|(n, _)| *n == route) {
+        if let Some((_, h)) = state.metrics.route_ok.iter().find(|(n, _)| *n == route) {
             h.record(report.total_ns);
         }
     } else {
@@ -1187,7 +1114,7 @@ fn finish_request(state: &AppState, trace: Trace<'_>, status: u16) {
             .record(report.total_ns);
     }
     for (phase, ns) in &report.phases {
-        if let Some((_, h)) = state.http.phases.iter().find(|(n, _)| n == phase) {
+        if let Some((_, h)) = state.metrics.phases.iter().find(|(n, _)| n == phase) {
             h.record(*ns);
         }
     }
@@ -1197,7 +1124,7 @@ fn finish_request(state: &AppState, trace: Trace<'_>, status: u16) {
     if report.total_ns < threshold_ms.saturating_mul(1_000_000) {
         return;
     }
-    state.http.slow.inc();
+    state.metrics.slow.inc();
     state
         .http_events
         .record_slow(&state.events, state.clock.now_ns(), route, report.total_ns);
@@ -1242,8 +1169,8 @@ struct Conn {
 
 /// Decrements `connections_open` on drop. The decrement saturates at
 /// zero ([`remi_obs::Gauge::dec`]): a connection dropped twice on the
-/// parked-revive path pins the gauge at 0 instead of wrapping `/stats`'
-/// `connections_open` to 2^64-1.
+/// parked-revive path pins the gauge at 0 instead of wrapping
+/// `remi_connections_open` to 2^64-1.
 struct OpenGauge(Arc<AppState>);
 
 impl Drop for OpenGauge {
@@ -1645,10 +1572,11 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
             delta_fraction: 0.0,
         },
     );
-    // One registry per server: the HTTP instruments are created through
-    // it, while the shared pool's scheduling counters and the live KB's
-    // publish/compaction instruments (both built standalone, registry-
-    // free) are attached by `Arc` so `/v1/metrics` renders them too.
+    // One registry per server and the only store of every count: the
+    // HTTP and cache instruments are created through it, while the shared
+    // pool's scheduling counters and the live KB's ingest/publish/
+    // compaction instruments (both built standalone, registry-free) are
+    // attached by `Arc` so `/v1/metrics` renders them too.
     let registry = Registry::new();
     let pm = remi_pool::global().metrics();
     registry.register_counter("remi_pool_steals_total", Arc::clone(&pm.steals));
@@ -1676,8 +1604,17 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
         "remi_kb_compactions_total{outcome=\"skipped\"}",
         Arc::clone(&ki.compactions_skipped),
     );
+    registry.register_counter("remi_kb_ingests_total", Arc::clone(&ki.appends));
+    registry.register_counter(
+        "remi_kb_ingested_triples_total",
+        Arc::clone(&ki.appended_triples),
+    );
+    registry.register_counter(
+        "remi_kb_duplicate_triples_total",
+        Arc::clone(&ki.duplicate_triples),
+    );
     let metrics = Metrics::register(&registry);
-    let http = HttpMetrics::register(&registry);
+    let cache = ResponseCache::new(config.cache_entries, &registry);
     // One flight recorder per server, one clock anchor for every emitter:
     // `MonoClock` is `Copy`, so the KB's and the pool's injected clocks
     // share the request spans' time base and event timestamps line up
@@ -1694,11 +1631,10 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
         live,
         primary: backend,
         converted: Mutex::new(None),
-        cache: ResponseCache::new(config.cache_entries),
+        cache,
         metrics,
         registry,
         clock,
-        http,
         slow_request_ms: config.slow_request_ms,
         max_inflight: config.max_inflight.max(1) as u64,
         max_conns: (config.max_inflight.max(1) as u64).saturating_mul(4).max(8),

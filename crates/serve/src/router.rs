@@ -46,8 +46,7 @@ pub(crate) struct Route {
     /// Path shape this row matches.
     pub path: PathSpec,
     /// Metric label for this row: the `route` value of
-    /// `remi_http_request_duration_ns{route=…,status=…}` and the key of
-    /// `/stats`' `latency` section.
+    /// `remi_http_request_duration_ns{route=…,status=…}`.
     pub name: &'static str,
     /// Whether the handler runs behind the admission watermark (mining,
     /// query, and ingest work is shed with 503 beyond it; `/healthz` and

@@ -111,7 +111,7 @@ fn main() {
         .expect("describe");
     println!("GET /describe/e:Atlantis_1 → {} {}", hit.status, hit.body);
 
-    // The stats surface the live counters (epoch, delta, compactions).
+    // The stats surface the live epoch facts (epoch, delta, base size).
     let stats = client.get("/stats").expect("stats");
     println!("GET /stats → {}", stats.body);
 

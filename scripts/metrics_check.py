@@ -23,6 +23,8 @@ REQUIRED_ACTIVE = [
     "remi_http_request_duration_ns_count",
     "remi_connections_total",
     "remi_kb_ingests_total",
+    "remi_kb_ingested_triples_total",
+    "remi_cache_misses_total",
 ]
 
 # Families that must at least be exposed (activity depends on scheduling).
@@ -33,7 +35,14 @@ REQUIRED_PRESENT = [
     "remi_pool_steals_total",
     "remi_kb_publish_duration_ns_count",
     "remi_kb_epoch",
+    "remi_kb_triples",
+    "remi_kb_delta_triples",
+    "remi_kb_compactions_total",
+    "remi_kb_duplicate_triples_total",
     "remi_cache_hits_total",
+    "remi_cache_purged_total",
+    "remi_cache_evictions_total",
+    "remi_cache_entries",
 ]
 
 # The serve layer pre-registers every route x status latency family at

@@ -26,6 +26,14 @@ fn iri3(f: Fact) -> (Term, String, Term) {
     )
 }
 
+/// The value of one exact series (labels included, as rendered) in a
+/// `/v1/metrics` exposition.
+fn metric(text: &str, series: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+}
+
 fn build_kb(facts: &[Fact]) -> KnowledgeBase {
     let mut b = KbBuilder::new();
     for &(s, p, o) in facts {
@@ -272,8 +280,10 @@ fn describe_bytes_survive_a_noop_compaction() {
     // Wait for the background compaction to fold the delta.
     let compacted = (0..200).any(|_| {
         std::thread::sleep(std::time::Duration::from_millis(10));
+        let metrics = c.get("/v1/metrics").unwrap().body;
         let stats = c.get("/stats").unwrap().body;
-        stats.contains("\"compactions\":1") && stats.contains("\"delta_triples\":0")
+        metric(&metrics, "remi_kb_compactions_total{outcome=\"performed\"}") == Some(1)
+            && stats.contains("\"delta_triples\":0")
     });
     assert!(compacted, "background compaction never ran");
 
@@ -355,26 +365,25 @@ fn concurrent_ingest_vs_describe_over_http() {
     });
 
     let mut c = Client::connect(addr).unwrap();
-    let stats = c.get("/stats").unwrap().body;
-    assert!(
-        stats.contains(&format!("\"ingests\":{}", 2 * ingests)),
-        "{stats}"
+    let metrics = c.get("/v1/metrics").unwrap().body;
+    assert_eq!(
+        metric(&metrics, "remi_kb_ingests_total"),
+        Some(2 * ingests as u64),
+        "{metrics}"
     );
-    assert!(!stats.contains("\"server_errors\":1"), "{stats}");
+    assert_eq!(
+        metric(
+            &metrics,
+            "remi_http_responses_total{class=\"server_error\"}"
+        ),
+        Some(0),
+        "{metrics}"
+    );
 
     // Rotation accounting: every ingest that followed a cached describe
     // purged that generation, so stale entries never pile up. The cache
     // can only hold current-generation entries now.
-    let fp_purges: u64 = {
-        let needle = "\"purged\":";
-        let at = stats.find(needle).expect("purged counter in stats");
-        stats[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
+    let fp_purges = metric(&metrics, "remi_cache_purged_total").expect("purged counter");
     // Describe twice on the final generation: the second must hit,
     // proving purges never evict the live generation.
     let a = c
@@ -396,17 +405,9 @@ fn concurrent_ingest_vs_describe_over_http() {
         "ingest response reports purges: {}",
         r.body
     );
-    let stats_after = c.get("/stats").unwrap().body;
-    let fp_purges_after: u64 = {
-        let needle = "\"purged\":";
-        let at = stats_after.find(needle).expect("purged counter");
-        stats_after[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
+    let metrics_after = c.get("/v1/metrics").unwrap().body;
+    let fp_purges_after =
+        metric(&metrics_after, "remi_cache_purged_total").expect("purged counter");
     assert!(
         fp_purges_after > fp_purges,
         "rotation must purge the stale generation ({fp_purges} → {fp_purges_after})"

@@ -26,6 +26,14 @@ fn boot(kb: KnowledgeBase, config: ServeConfig) -> ServerHandle {
     serve(kb, config).expect("server must bind an ephemeral port")
 }
 
+/// The value of one exact series (labels included, as rendered) in a
+/// `/v1/metrics` exposition.
+fn metric(text: &str, series: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+}
+
 /// Describe and summarize over HTTP answer exactly the bytes the library
 /// renders, on both backends, cold and cached.
 #[test]
@@ -509,11 +517,8 @@ fn slow_request_threshold_counts_and_logs() {
     assert_eq!(client.get("/healthz").unwrap().status, 200);
 
     let metrics = client.get("/metrics").unwrap().body;
-    let count: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("remi_http_slow_requests_total "))
-        .and_then(|v| v.parse().ok())
-        .expect("slow-request counter exposed");
+    let count =
+        metric(&metrics, "remi_http_slow_requests_total").expect("slow-request counter exposed");
     assert!(count >= 2, "expected ≥2 slow requests, saw {count}");
     server.shutdown();
 }
@@ -704,7 +709,7 @@ fn debug_events_endpoint_exposes_bounded_recorder() {
 }
 
 /// Connection churn never underflows the open-connections gauge: after
-/// clients come and go, `/stats` still reports a sane small number.
+/// clients come and go, `/v1/metrics` still reports a sane small number.
 #[test]
 fn connection_gauge_survives_churn() {
     let synth = world();
@@ -718,22 +723,13 @@ fn connection_gauge_survives_churn() {
         // the gauge (saturating — a double decrement must not wrap).
     }
     let mut c = Client::connect(addr).unwrap();
-    let stats = c.get("/stats").unwrap();
-    let open = stats
-        .body
-        .split("\"connections_open\":")
-        .nth(1)
-        .and_then(|rest| {
-            rest.split(|ch: char| !ch.is_ascii_digit())
-                .next()?
-                .parse::<u64>()
-                .ok()
-        })
-        .expect("stats reports connections_open");
+    let metrics = c.get("/v1/metrics").unwrap();
+    let open = metric(&metrics.body, "remi_connections_open")
+        .expect("metrics expose remi_connections_open");
     assert!(
         open <= 5,
         "gauge wrapped or leaked: {open} ({})",
-        stats.body
+        metrics.body
     );
     server.shutdown();
 }
@@ -779,4 +775,145 @@ fn cli_serve_round_trip() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A four-fact KB whose describes and ingests are cheap and predictable.
+fn tiny_kb() -> KnowledgeBase {
+    let mut b = remi_kb::KbBuilder::new();
+    b.add_iri("e:Paris", "p:capitalOf", "e:France");
+    b.add_iri("e:Paris", "p:cityIn", "e:France");
+    b.add_iri("e:Lyon", "p:cityIn", "e:France");
+    b.add_iri("e:Marseille", "p:cityIn", "e:France");
+    b.build().unwrap()
+}
+
+/// One numeric field of a JSON response body.
+fn json_u64(body: &str, field: &str) -> u64 {
+    remi_serve::json::parse(body.as_bytes())
+        .ok()
+        .and_then(|doc| doc.get(field)?.as_usize())
+        .unwrap_or_else(|| panic!("no numeric {field:?} in {body}")) as u64
+}
+
+/// The registry is the only counter store: every cache and ingest event
+/// lands in exactly one `/v1/metrics` series, with the values the
+/// responses themselves report, and `/stats` carries no count at all.
+#[test]
+fn metrics_registry_counts_every_cache_and_ingest_event() {
+    let mut server = boot(
+        tiny_kb(),
+        ServeConfig {
+            compact_min_delta: 1, // the one real ingest schedules one fold
+            ..ServeConfig::default()
+        },
+    );
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    let cold = c.get("/describe/e:Paris").unwrap();
+    assert_eq!(cold.header("x-remi-cache"), Some("miss"), "{}", cold.body);
+    let warm = c.get("/describe/e:Paris").unwrap();
+    assert_eq!(warm.header("x-remi-cache"), Some("hit"), "{}", warm.body);
+
+    let mut ingests = Vec::new();
+    for batch in [
+        "<e:Paris> <p:cityIn> <e:France> .\n",
+        "<e:Nantes> <p:cityIn> <e:France> .\n<e:Lyon> <p:cityIn> <e:France> .\n",
+    ] {
+        let r = c.post("/ingest", batch).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        ingests.push(r.body);
+    }
+    let sum = |field: &str| -> u64 { ingests.iter().map(|b| json_u64(b, field)).sum() };
+    assert_eq!(json_u64(&ingests[0], "appended"), 0, "{}", ingests[0]);
+    assert_eq!(sum("appended"), 1);
+    assert_eq!(sum("duplicates"), 2);
+    assert_eq!(
+        sum("cache_purged"),
+        1,
+        "the real ingest purges the describe"
+    );
+
+    let performed = "remi_kb_compactions_total{outcome=\"performed\"}";
+    let mut text = String::new();
+    let folded = (0..200).any(|_| {
+        text = c.get("/v1/metrics").unwrap().body;
+        metric(&text, performed) == Some(1) || {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            false
+        }
+    });
+    assert!(folded, "the background compaction never ran:\n{text}");
+
+    let expect = [
+        ("remi_cache_hits_total", 1),
+        ("remi_cache_misses_total", 1),
+        ("remi_cache_purged_total", sum("cache_purged")),
+        ("remi_kb_ingests_total", 1),
+        ("remi_kb_ingested_triples_total", sum("appended")),
+        ("remi_kb_duplicate_triples_total", sum("duplicates")),
+        (performed, 1),
+    ];
+    for (series, want) in expect {
+        assert_eq!(metric(&text, series), Some(want), "{series} in\n{text}");
+    }
+
+    let stats = c.get("/v1/stats").unwrap().body;
+    for key in ["hits", "requests", "latency", "phases"] {
+        assert!(
+            !stats.contains(&format!("\"{key}\":")),
+            "/stats still carries {key:?}: {stats}"
+        );
+    }
+    assert!(stats.contains("\"delta_triples\":0"), "{stats}");
+    server.shutdown();
+}
+
+/// Exposition well-formedness: one `# TYPE` line per family and no
+/// repeated sample series, both on a fresh server and after traffic that
+/// touches every layer (cache, ingest, query, errors).
+#[test]
+fn metrics_exposition_has_unique_families_and_series() {
+    fn assert_well_formed(text: &str) {
+        let mut families = std::collections::HashSet::new();
+        let mut samples = std::collections::HashSet::new();
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            if let Some(ty) = line.strip_prefix("# TYPE ") {
+                let family = ty.split(' ').next().unwrap_or(ty);
+                assert!(families.insert(family), "family {family} typed twice");
+            } else {
+                let (series, value) = line.rsplit_once(' ').expect("`series value` line");
+                assert!(value.parse::<u64>().is_ok(), "bad sample value: {line}");
+                assert!(samples.insert(series), "series {series} repeats");
+            }
+        }
+        assert!(!samples.is_empty(), "empty exposition");
+    }
+
+    let mut server = boot(tiny_kb(), ServeConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_well_formed(&c.get("/v1/metrics").unwrap().body);
+
+    for path in [
+        "/describe/e:Paris",
+        "/describe/e:Paris",
+        "/describe/e:Nowhere",
+    ] {
+        c.get(path).unwrap();
+    }
+    let r = c
+        .post("/ingest", "<e:Nice> <p:cityIn> <e:France> .\n")
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let q = c
+        .post(
+            "/query",
+            r#"{"patterns":[{"s":"?c","p":"p:cityIn","o":"e:France"}]}"#,
+        )
+        .unwrap();
+    assert_eq!(q.status, 200, "{}", q.body);
+    assert_eq!(c.get("/stats").unwrap().status, 200);
+    let after = c.get("/v1/metrics").unwrap().body;
+    assert_well_formed(&after);
+    assert_eq!(metric(&after, "remi_cache_hits_total"), Some(1), "{after}");
+    server.shutdown();
 }
