@@ -1,5 +1,5 @@
 //! Substrate microbenchmarks: dictionary interning, CSR lookups,
-//! N-Triples parsing, binary-format round trips, PageRank, LRU cache.
+//! N-Triples parsing, `RKB2` round trips, PageRank, LRU cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use remi_bench::dbpedia;
@@ -50,10 +50,10 @@ fn bench(c: &mut Criterion) {
         doc.len(),
         doc.len() / bytes.len().max(1)
     );
-    group.bench_function("binfmt_write", |b| {
+    group.bench_function("rkb2_write", |b| {
         b.iter(|| remi_kb::binfmt::write_bytes(kb))
     });
-    group.bench_function("binfmt_read", |b| {
+    group.bench_function("rkb2_read", |b| {
         b.iter(|| remi_kb::binfmt::read_bytes(&bytes, 0.0).unwrap())
     });
 

@@ -14,7 +14,6 @@ use remi_core::complexity::Prominence;
 use remi_core::eval::Evaluator;
 use remi_core::exceptions::{describe_with_exceptions, verbalize_with_exceptions};
 use remi_core::{LanguageBias, Remi, RemiConfig, SearchStatus};
-use remi_kb::binfmt::BinFormat;
 use remi_kb::{Backend, KnowledgeBase, NodeId, PredId};
 
 /// CLI errors: message + suggestion.
@@ -45,16 +44,16 @@ pub fn parse_backend(s: &str) -> Result<Backend> {
 }
 
 /// Loads a KB from a path, dispatching on the extension:
-/// `.nt`/`.ntriples` → N-Triples, anything else → a binary format (the
-/// magic decides between `RKB1` and `RKB2`). Inverse predicates are
-/// rebuilt for the top `inverse_fraction` where the format allows.
+/// `.nt`/`.ntriples` → N-Triples, anything else → the binary `RKB2`
+/// format. Inverse predicates are rebuilt for the top `inverse_fraction`
+/// when the file holds none.
 pub fn load_kb(path: &Path, inverse_fraction: f64) -> Result<KnowledgeBase> {
     remi_kb::load_path(path, inverse_fraction)
         .map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))
 }
 
 /// Loads a KB and converts it to the requested backend (`None` keeps the
-/// format-native one: CSR for N-Triples/`RKB1`, succinct for `RKB2`).
+/// one it loads into: CSR for N-Triples, succinct for `RKB2`).
 pub fn load_kb_as(
     path: &Path,
     inverse_fraction: f64,
@@ -67,10 +66,8 @@ pub fn load_kb_as(
     })
 }
 
-/// Saves a KB to a path: `.nt`/`.ntriples` → N-Triples, `.rkb2` → the
-/// succinct `RKB2` format, anything else → `RKB1`. An explicit `format`
-/// overrides the binary-extension dispatch.
-pub fn save_kb_as(kb: &KnowledgeBase, path: &Path, format: Option<BinFormat>) -> Result<()> {
+/// Saves a KB to a path, dispatching on the extension as in [`load_kb`].
+pub fn save_kb(kb: &KnowledgeBase, path: &Path) -> Result<()> {
     let ext = path
         .extension()
         .and_then(|e| e.to_str())
@@ -82,17 +79,7 @@ pub fn save_kb_as(kb: &KnowledgeBase, path: &Path, format: Option<BinFormat>) ->
         remi_kb::ntriples::write_kb(kb, std::io::BufWriter::new(f))?;
         return Ok(());
     }
-    let format = format.unwrap_or(if ext == "rkb2" {
-        BinFormat::Rkb2
-    } else {
-        BinFormat::Rkb1
-    });
-    Ok(remi_kb::binfmt::save_as(kb, path, format)?)
-}
-
-/// Saves a KB to a path, dispatching on the extension as in [`load_kb`].
-pub fn save_kb(kb: &KnowledgeBase, path: &Path) -> Result<()> {
-    save_kb_as(kb, path, None)
+    Ok(remi_kb::binfmt::save(kb, path)?)
 }
 
 /// Formats the per-section store memory report shared by `stats` and
@@ -140,11 +127,10 @@ pub fn cmd_gen(profile: &str, scale: f64, seed: u64, out: &Path) -> Result<Strin
     ))
 }
 
-/// `remi convert`: transcodes between N-Triples and the binary formats
-/// (`--format rkb1|rkb2` overrides the output-extension dispatch).
-pub fn cmd_convert(input: &Path, output: &Path, format: Option<BinFormat>) -> Result<String> {
+/// `remi convert`: transcodes between N-Triples and `RKB2`.
+pub fn cmd_convert(input: &Path, output: &Path) -> Result<String> {
     let kb = load_kb(input, 0.0)?;
-    save_kb_as(&kb, output, format)?;
+    save_kb(&kb, output)?;
     Ok(format!(
         "converted {} → {} ({} triples)",
         input.display(),
@@ -525,15 +511,15 @@ pub const USAGE: &str = "\
 remi — mine intuitive referring expressions on RDF knowledge bases
 
 USAGE:
-  remi gen --profile dbpedia|wikidata [--scale F] [--seed N] -o <kb.{rkb,rkb2,nt}>
-  remi convert <in.{rkb,rkb2,nt}> <out.{rkb,rkb2,nt}> [--format rkb1|rkb2]
+  remi gen --profile dbpedia|wikidata [--scale F] [--seed N] -o <kb.{rkb,nt}>
+  remi convert <in.{rkb,nt}> <out.{rkb,nt}>
   remi stats <kb> [--backend csr|succinct]
   remi describe <kb> <iri>... [--standard] [--threads N] [--timeout-ms N]
                               [--pagerank] [--exceptions N]
                               [--backend csr|succinct]
   remi summarize <kb> <iri> [--k N] [--method remi|faces|linksum]
                             [--backend csr|succinct]
-  remi ingest <kb> <delta.nt>... -o <out.{rkb,rkb2,nt}>
+  remi ingest <kb> <delta.nt>... -o <out.{rkb,nt}>
                   [--backend csr|succinct]
   remi query <kb> <s> <p> <o> [<s> <p> <o> ...] [--limit N]
                   [--backend csr|succinct]
@@ -592,9 +578,10 @@ INGESTION:
   background compaction scales with total size).
 
 STORAGE:
-  .rkb files are row-oriented RKB1 (loads into the CSR backend); .rkb2
-  files are succinct RKB2 bitmap triples (zero-copy load). --backend
-  converts after loading, so any command runs on either layout.
+  .nt/.ntriples files are N-Triples; any other path is an RKB2 file of
+  succinct bitmap triples, which loads zero-copy into the succinct
+  backend. --backend converts after loading, so any command runs on
+  either layout.
 
 ENVIRONMENT:
   REMI_THREADS  sizes the shared worker pool and is the default for
@@ -644,11 +631,11 @@ mod tests {
         let bin = dir.join("kb.rkb");
         let nt = dir.join("kb.nt");
         cmd_gen("wikidata", 0.1, 3, &bin).unwrap();
-        let msg = cmd_convert(&bin, &nt, None).unwrap();
+        let msg = cmd_convert(&bin, &nt).unwrap();
         assert!(msg.contains("converted"));
         // And back.
         let bin2 = dir.join("kb2.rkb");
-        cmd_convert(&nt, &bin2, None).unwrap();
+        cmd_convert(&nt, &bin2).unwrap();
         let kb1 = load_kb(&bin, 0.0).unwrap();
         let kb2 = load_kb(&bin2, 0.0).unwrap();
         assert_eq!(kb1.num_triples(), kb2.num_triples());

@@ -142,29 +142,17 @@ fn run(args: &[String]) -> Result<Action, Failure> {
             print(cmd_gen(&profile, scale, seed, &out).map(|s| s + "\n"))
         }
         "convert" => {
-            let mut format = None;
             let mut paths = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--format" => {
-                        let v = it.next().ok_or_else(|| err("missing flag value"))?;
-                        format = Some(
-                            remi_kb::binfmt::BinFormat::parse(v)
-                                .ok_or_else(|| err("--format takes rkb1 or rkb2"))?,
-                        );
-                    }
-                    p if !p.starts_with("--") => paths.push(p.to_string()),
-                    other => return Err(err(&format!("unknown flag {other}"))),
+            for a in &args[1..] {
+                if a.starts_with("--") {
+                    return Err(err(&format!("unknown flag {a}")));
                 }
+                paths.push(a);
             }
             let [input, output] = &paths[..] else {
                 return Err(err("convert takes exactly two paths"));
             };
-            print(
-                cmd_convert(&PathBuf::from(input), &PathBuf::from(output), format)
-                    .map(|s| s + "\n"),
-            )
+            print(cmd_convert(&PathBuf::from(input), &PathBuf::from(output)).map(|s| s + "\n"))
         }
         "stats" => {
             let Some(path) = args.get(1) else {

@@ -1,24 +1,9 @@
-//! HDT-like compressed binary formats for knowledge bases.
+//! The HDT-like compressed binary KB format, `RKB2`.
 //!
 //! The paper stores its KBs as HDT files: a binary, dictionary-compressed
 //! representation that supports atom-level retrieval without full
-//! decompression (§3.5.1). Two generations of that idea live here:
-//!
-//! **`RKB1`** — the original row-oriented format:
-//!
-//! ```text
-//! magic "RKB1" | flags u8
-//! node dictionary:  count, then (kind u8, front-coded key)
-//! pred dictionary:  count, then front-coded IRI
-//! triple section:   per predicate: fact count, delta-encoded (s, o) runs
-//! footer:           FNV-1a checksum of everything before it
-//! ```
-//!
-//! Loading `RKB1` replays the triples through [`KbBuilder`] and produces
-//! the CSR backend; inverse predicates are rebuilt at load time from the
-//! caller's fraction.
-//!
-//! **`RKB2`** — the succinct section-table format:
+//! decompression (§3.5.1). `RKB2` is this repository's one such format, a
+//! section table over the succinct backend's own layout:
 //!
 //! ```text
 //! magic "RKB2" | flags u8
@@ -31,72 +16,47 @@
 //! footer:           FNV-1a checksum of everything before it
 //! ```
 //!
-//! The `RKB2` word payloads (packed sequences and bitmaps) load
-//! *zero-copy*: the loader slices the input [`Bytes`] buffer and the
-//! succinct backend reads little-endian words straight out of it. Inverse
-//! predicates are baked into the file; loading with a non-zero inverse
-//! fraction falls back to a rebuilding load only when the file holds no
-//! materialised inverses.
+//! Keys are *front-coded*: each entry stores the length of the prefix
+//! shared with its predecessor plus the differing suffix — the classic
+//! dictionary compression used by HDT.
 //!
-//! Keys are *front-coded* in both formats: each entry stores the length of
-//! the prefix shared with its predecessor plus the differing suffix — the
-//! classic dictionary compression used by HDT.
+//! The word payloads (packed sequences and bitmaps) load *zero-copy*: the
+//! loader slices the input [`Bytes`] buffer and the succinct backend reads
+//! little-endian words straight out of it; `with_backend` converts to CSR
+//! afterwards when a caller asks for it. Inverse predicates are baked into
+//! the file; loading with a non-zero inverse fraction rebuilds them only
+//! when the file holds none.
+//!
+//! Files are untrusted input. The loader checks every count, bound, wave
+//! shape, dictionary key and id before the succinct backend sees it, so a
+//! damaged or hostile file is a [`KbError::Format`], never a panic. The
+//! retired row-oriented `RKB1` format is rejected by name.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::backend::{build_bitmap_triples, StoreBackend};
 use crate::dict::Dictionary;
 use crate::error::{KbError, Result};
 use crate::freq::FreqVec;
-use crate::ids::{NodeId, PredId};
 use crate::store::{KbBuilder, KnowledgeBase};
 use crate::succinct::{BitmapTriples, PackedSeq, RsBitVec, WaveIndex, WordSeq};
 use crate::term::TermKind;
 use crate::varint;
 
-const MAGIC_V1: &[u8; 4] = b"RKB1";
-const MAGIC_V2: &[u8; 4] = b"RKB2";
+const MAGIC: &[u8; 4] = b"RKB2";
+/// Magic of the retired row-oriented format, kept only to name it in the
+/// load error.
+const RETIRED_MAGIC: &[u8; 4] = b"RKB1";
 
-/// `RKB2` section tags.
+/// Section tags.
 const SEC_NODES: u8 = 1;
 const SEC_PREDS: u8 = 2;
 const SEC_META: u8 = 3;
 const SEC_TRIPLES: u8 = 4;
 
-/// `RKB2` flag bit: the file contains materialised inverse predicates.
+/// Flag bit: the file contains materialised inverse predicates.
 const FLAG_HAS_INVERSES: u8 = 1;
-
-/// On-disk format generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BinFormat {
-    /// Row-oriented `RKB1` (loads into the CSR backend).
-    #[default]
-    Rkb1,
-    /// Succinct section-table `RKB2` (loads zero-copy into the succinct
-    /// backend).
-    Rkb2,
-}
-
-impl BinFormat {
-    /// Parses a format name (`rkb1` / `rkb2`).
-    pub fn parse(s: &str) -> Option<BinFormat> {
-        match s {
-            "rkb1" => Some(BinFormat::Rkb1),
-            "rkb2" => Some(BinFormat::Rkb2),
-            _ => None,
-        }
-    }
-
-    /// The canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BinFormat::Rkb1 => "rkb1",
-            BinFormat::Rkb2 => "rkb2",
-        }
-    }
-}
 
 fn kind_to_u8(k: TermKind) -> u8 {
     match k {
@@ -152,69 +112,40 @@ fn checked_count(n: u64, remaining: usize, min_bytes: usize) -> Result<usize> {
     Ok(n as usize)
 }
 
-/// Decodes one front-coded key given the previous key.
-fn read_front_coded(buf: &mut impl Buf, prev: &str) -> Result<String> {
-    let shared = varint::read_u64(buf)? as usize;
-    if shared > prev.len() || !prev.is_char_boundary(shared) {
-        return Err(KbError::Format("front-coding prefix overruns".into()));
-    }
-    let suffix = varint::read_str(buf)?;
-    // lint:allow(unchecked-binfmt-alloc): `shared` is bounded by `prev.len()` above and `suffix` was length-checked by read_str — both components are already validated
-    let mut key = String::with_capacity(shared + suffix.len());
-    key.push_str(&prev[..shared]);
-    key.push_str(&suffix);
-    Ok(key)
+/// Appends `key` front-coded against `prev`, then makes it the new `prev`.
+fn write_front_coded(out: &mut BytesMut, prev: &mut String, key: &str) {
+    let shared = common_prefix_len(prev, key);
+    varint::write_u64(out, shared as u64);
+    varint::write_str(out, &key[shared..]);
+    prev.clear();
+    prev.push_str(key);
 }
 
-/// Serialises a KB into `RKB1`. Only base triples are written; pass the
-/// inverse-materialisation fraction to [`read_bytes`] to rebuild derived
-/// facts at load time.
-pub fn write_bytes(kb: &KnowledgeBase) -> Bytes {
-    let mut out = BytesMut::with_capacity(1 << 16);
-    out.put_slice(MAGIC_V1);
-    out.put_u8(0); // flags, reserved
-
-    // Node dictionary, front-coded in id order.
-    varint::write_u64(&mut out, kb.num_nodes() as u64);
-    let mut prev = String::new();
-    for (_, key, kind) in kb.node_dict().iter() {
-        out.put_u8(kind_to_u8(kind));
-        let shared = common_prefix_len(&prev, key);
-        varint::write_u64(&mut out, shared as u64);
-        varint::write_str(&mut out, &key[shared..]);
-        prev = key.to_string();
+/// Decodes one front-coded key in place: `key` holds the previous key on
+/// entry and the decoded one on return, so a dictionary load reuses one
+/// buffer instead of allocating per key.
+fn read_front_coded(buf: &mut Bytes, key: &mut String) -> Result<()> {
+    let shared = varint::read_u64(buf)? as usize;
+    if shared > key.len() || !key.is_char_boundary(shared) {
+        return Err(KbError::Format("front-coding prefix overruns".into()));
     }
+    key.truncate(shared);
+    varint::read_str(buf, key)
+}
 
-    // Predicate dictionary — base predicates only (inverses are derived).
-    let base_preds: Vec<PredId> = kb.pred_ids().filter(|&p| !kb.is_inverse(p)).collect();
-    varint::write_u64(&mut out, base_preds.len() as u64);
-    let mut prev = String::new();
-    for &p in &base_preds {
-        let key = kb.pred_iri(p);
-        let shared = common_prefix_len(&prev, key);
-        varint::write_u64(&mut out, shared as u64);
-        varint::write_str(&mut out, &key[shared..]);
-        prev = key.to_string();
+/// The term kind a dictionary key encodes (see `Term::dict_key`). A
+/// malformed literal key is an error here rather than a panic in
+/// `Term::from_dict_key` on first use.
+fn key_kind(key: &str) -> Result<TermKind> {
+    if key.starts_with("_:") {
+        Ok(TermKind::Blank)
+    } else if key.starts_with('"') {
+        crate::ntriples::check_literal(key)
+            .map(|()| TermKind::Literal)
+            .map_err(|e| KbError::Format(format!("malformed literal key {key:?}: {e}")))
+    } else {
+        Ok(TermKind::Iri)
     }
-
-    // Triples per predicate, delta-encoded over (s, o).
-    for &p in &base_preds {
-        let idx = kb.index(p);
-        varint::write_u64(&mut out, idx.num_facts() as u64);
-        let mut last_s = 0u32;
-        for (s, objs) in idx.iter_subjects() {
-            for o in objs {
-                // Gap on s; when the gap is 0 the o stream continues.
-                varint::write_u32(&mut out, s.0 - last_s);
-                varint::write_u32(&mut out, o);
-                last_s = s.0;
-            }
-        }
-    }
-
-    let checksum = fnv1a(&out);
-    out.put_u64_le(checksum);
-    out.freeze()
 }
 
 fn write_packed(out: &mut BytesMut, seq: &PackedSeq) {
@@ -244,10 +175,9 @@ fn write_wave(out: &mut BytesMut, wave: &WaveIndex) {
     write_packed(out, vals);
 }
 
-/// Serialises a KB into the succinct `RKB2` format. All predicates —
-/// including materialised inverses — are written, so the file loads
-/// without any rebuilding.
-pub fn write_bytes_v2(kb: &KnowledgeBase) -> Bytes {
+/// Serialises a KB. All predicates — including materialised inverses —
+/// are written, so the file loads without any rebuilding.
+pub fn write_bytes(kb: &KnowledgeBase) -> Bytes {
     // Reuse the live succinct store when the KB already runs on it.
     let built;
     let triples: &BitmapTriples = match kb.store() {
@@ -264,20 +194,14 @@ pub fn write_bytes_v2(kb: &KnowledgeBase) -> Bytes {
     let mut prev = String::new();
     for (_, key, kind) in kb.node_dict().iter() {
         nodes.put_u8(kind_to_u8(kind));
-        let shared = common_prefix_len(&prev, key);
-        varint::write_u64(&mut nodes, shared as u64);
-        varint::write_str(&mut nodes, &key[shared..]);
-        prev = key.to_string();
+        write_front_coded(&mut nodes, &mut prev, key);
     }
 
     let mut preds = BytesMut::new();
     varint::write_u64(&mut preds, kb.num_preds() as u64);
-    let mut prev = String::new();
+    prev.clear();
     for (_, key, _) in kb.pred_dict().iter() {
-        let shared = common_prefix_len(&prev, key);
-        varint::write_u64(&mut preds, shared as u64);
-        varint::write_str(&mut preds, &key[shared..]);
-        prev = key.to_string();
+        write_front_coded(&mut preds, &mut prev, key);
     }
 
     let mut meta = BytesMut::new();
@@ -300,11 +224,11 @@ pub fn write_bytes_v2(kb: &KnowledgeBase) -> Bytes {
         (SEC_META, &meta),
         (SEC_TRIPLES, &waves),
     ];
-    let header_len = MAGIC_V2.len() + 1 + 1 + sections.len() * 17;
+    let header_len = MAGIC.len() + 1 + 1 + sections.len() * 17;
     let mut out = BytesMut::with_capacity(
         header_len + sections.iter().map(|(_, s)| s.len()).sum::<usize>() + 8,
     );
-    out.put_slice(MAGIC_V2);
+    out.put_slice(MAGIC);
     out.put_u8(if has_inverses { FLAG_HAS_INVERSES } else { 0 });
     out.put_u8(sections.len() as u8);
     let mut offset = header_len as u64;
@@ -385,6 +309,16 @@ fn read_wave(cur: &mut Bytes) -> Result<WaveIndex> {
             "wave bitmap disagrees with sequences".into(),
         ));
     }
+    // Each group's value range must hold exactly its keys' runs, ending on
+    // a delimiter; otherwise a run lookup in one group reads into the next
+    // group, or scans past the last delimiter. For the final group this
+    // also rules out delimiter bits stored past the bitmap's length.
+    for (&k, &v) in raw_key_bounds.iter().zip(&raw_val_bounds).skip(1) {
+        let v = v as usize;
+        if last.rank1(v) != k as usize || (v > 0 && !last.get(v - 1)) {
+            return Err(KbError::Format("wave group bounds split a run".into()));
+        }
+    }
     Ok(WaveIndex::from_parts(
         raw_key_bounds,
         raw_val_bounds,
@@ -394,7 +328,20 @@ fn read_wave(cur: &mut Bytes) -> Result<WaveIndex> {
     ))
 }
 
-/// Locates an `RKB2` section by tag.
+/// Errors unless every key of `wave` is below `keys_below` and every value
+/// below `vals_below`, so no lookup can hand out an id the dictionaries do
+/// not hold.
+fn check_ids(wave: &WaveIndex, name: &str, keys_below: usize, vals_below: usize) -> Result<()> {
+    let (_, _, keys, _, vals) = wave.parts();
+    if !keys.all_below(keys_below as u64) || !vals.all_below(vals_below as u64) {
+        return Err(KbError::Format(format!(
+            "{name} wave holds an id outside the dictionaries"
+        )));
+    }
+    Ok(())
+}
+
+/// Locates a section by tag.
 fn section(table: &[(u8, u64, u64)], tag: u8, body: &Bytes) -> Result<Bytes> {
     let &(_, off, len) = table
         .iter()
@@ -409,10 +356,10 @@ fn section(table: &[(u8, u64, u64)], tag: u8, body: &Bytes) -> Result<Bytes> {
     Ok(body.slice(off as usize..end as usize))
 }
 
-/// Loads an `RKB2` body (already checksum-verified, magic consumed by the
-/// caller's offset bookkeeping) into a succinct-backed KB.
+/// Loads a checksum-verified body (magic included) into a succinct-backed
+/// KB.
 fn read_v2(body: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
-    let mut header = body.slice(MAGIC_V2.len()..);
+    let mut header = body.slice(MAGIC.len()..);
     if header.remaining() < 2 {
         return Err(KbError::Format("truncated RKB2 header".into()));
     }
@@ -435,15 +382,19 @@ fn read_v2(body: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
     // Each entry holds a kind byte plus two front-coding varints.
     let n_nodes = checked_count(varint::read_u64(&mut nodes_sec)?, nodes_sec.remaining(), 3)?;
     let mut nodes = Dictionary::with_capacity(n_nodes);
-    let mut prev = String::new();
+    let mut key = String::new();
     for _ in 0..n_nodes {
         if !nodes_sec.has_remaining() {
             return Err(KbError::Format("truncated node dictionary".into()));
         }
         let kind = kind_from_u8(nodes_sec.get_u8())?;
-        let key = read_front_coded(&mut nodes_sec, &prev)?;
+        read_front_coded(&mut nodes_sec, &mut key)?;
+        if key_kind(&key)? != kind {
+            return Err(KbError::Format(format!(
+                "kind byte disagrees with key encoding for {key:?}"
+            )));
+        }
         nodes.intern_key(&key, kind);
-        prev = key;
     }
     if nodes.len() != n_nodes {
         return Err(KbError::Format("duplicate node dictionary entries".into()));
@@ -452,11 +403,10 @@ fn read_v2(body: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
     let mut preds_sec = section(&table, SEC_PREDS, body)?;
     let n_preds = checked_count(varint::read_u64(&mut preds_sec)?, preds_sec.remaining(), 2)?;
     let mut preds = Dictionary::with_capacity(n_preds);
-    let mut prev = String::new();
+    key.clear();
     for _ in 0..n_preds {
-        let key = read_front_coded(&mut preds_sec, &prev)?;
+        read_front_coded(&mut preds_sec, &mut key)?;
         preds.intern_key(&key, TermKind::Iri);
-        prev = key;
     }
     if preds.len() != n_preds {
         return Err(KbError::Format(
@@ -486,6 +436,14 @@ fn read_v2(body: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
             "wave predicate count disagrees with dictionary".into(),
         ));
     }
+    if sp.num_groups() != 1 {
+        return Err(KbError::Format(
+            "subject-predicate wave must have exactly one group".into(),
+        ));
+    }
+    check_ids(&spo, "SPO", n_nodes, n_nodes)?;
+    check_ids(&ops, "OPS", n_nodes, n_nodes)?;
+    check_ids(&sp, "SP", n_nodes, n_preds)?;
     let store = StoreBackend::Succinct(BitmapTriples::from_waves(spo, ops, sp));
 
     let kb = KnowledgeBase::from_parts(nodes, preds, store, FreqVec::from_vec(node_freq), n_base);
@@ -511,13 +469,13 @@ fn read_v2(body: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
 }
 
 /// Deserialises a KB from a shared buffer, rebuilding inverse predicates
-/// for the top `inverse_fraction` most frequent entities where the format
-/// calls for it (`RKB1` always; `RKB2` only when the file holds none).
+/// for the top `inverse_fraction` most frequent entities only when the
+/// file holds none.
 ///
-/// For `RKB2` input the succinct payload is *not* copied: the returned
-/// KB's packed sequences and bitmaps read directly from `bytes`.
+/// The succinct payload is *not* copied: the returned KB's packed
+/// sequences and bitmaps read directly from `bytes`.
 pub fn read_shared(bytes: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
-    if bytes.len() < MAGIC_V1.len() + 8 {
+    if bytes.len() < MAGIC.len() + 8 {
         return Err(KbError::Format("file too short".into()));
     }
     let body_len = bytes.len() - 8;
@@ -527,109 +485,44 @@ pub fn read_shared(bytes: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase
     }
     let body = bytes.slice(..body_len);
     match &body[..4] {
-        m if m == &MAGIC_V1[..] => read_v1(&body, inverse_fraction),
-        m if m == &MAGIC_V2[..] => read_v2(&body, inverse_fraction),
+        m if m == &MAGIC[..] => read_v2(&body, inverse_fraction),
+        m if m == &RETIRED_MAGIC[..] => Err(KbError::Format(
+            "RKB1 is a retired format; regenerate the KB with `remi gen`, \
+             or `remi convert` it from N-Triples"
+                .into(),
+        )),
         _ => Err(KbError::Format("bad magic".into())),
     }
 }
 
-/// Deserialises a KB from bytes (copies `RKB2` payloads into a fresh
-/// buffer; prefer [`read_shared`] for zero-copy loads).
+/// Deserialises a KB from bytes (copies the payload into a fresh buffer;
+/// prefer [`read_shared`] for zero-copy loads).
 pub fn read_bytes(bytes: &[u8], inverse_fraction: f64) -> Result<KnowledgeBase> {
     read_shared(&Bytes::copy_from_slice(bytes), inverse_fraction)
 }
 
-fn read_v1(body: &Bytes, inverse_fraction: f64) -> Result<KnowledgeBase> {
-    let mut buf = body.slice(MAGIC_V1.len()..);
-    let _flags = buf.get_u8();
-
-    let mut builder = KbBuilder::new();
-
-    // Node dictionary (kind byte + two front-coding varints per entry).
-    let n_nodes = checked_count(varint::read_u64(&mut buf)?, buf.remaining(), 3)?;
-    let mut node_ids = Vec::with_capacity(n_nodes);
-    let mut prev = String::new();
-    for _ in 0..n_nodes {
-        if !buf.has_remaining() {
-            return Err(KbError::Format("truncated node dictionary".into()));
-        }
-        let kind = kind_from_u8(buf.get_u8())?;
-        let key = read_front_coded(&mut buf, &prev)?;
-        let term = crate::term::Term::from_dict_key(&key);
-        if term.kind() != kind {
-            return Err(KbError::Format(format!(
-                "kind byte disagrees with key encoding for {key:?}"
-            )));
-        }
-        node_ids.push(builder.node(&term));
-        prev = key;
-    }
-
-    // Predicate dictionary.
-    let n_preds = checked_count(varint::read_u64(&mut buf)?, buf.remaining(), 2)?;
-    let mut pred_ids = Vec::with_capacity(n_preds);
-    let mut prev = String::new();
-    for _ in 0..n_preds {
-        let key = read_front_coded(&mut buf, &prev)?;
-        pred_ids.push(builder.pred(&key));
-        prev = key;
-    }
-
-    // Triples.
-    for &p in &pred_ids {
-        let n_facts = varint::read_u64(&mut buf)? as usize;
-        let mut last_s = 0u32;
-        for _ in 0..n_facts {
-            let gap = varint::read_u32(&mut buf)?;
-            let o = varint::read_u32(&mut buf)?;
-            let s = last_s + gap;
-            last_s = s;
-            let valid = (s as usize) < node_ids.len() && (o as usize) < node_ids.len();
-            if !valid {
-                return Err(KbError::Format("triple id out of range".into()));
-            }
-            builder.add_ids(NodeId(s), p, NodeId(o));
-        }
-    }
-    if buf.has_remaining() {
-        return Err(KbError::Format(
-            "trailing bytes after triple section".into(),
-        ));
-    }
-
-    builder.build_with_inverses(inverse_fraction)
-}
-
-/// Writes a KB to a file in the given format.
-pub fn save_as(kb: &KnowledgeBase, path: impl AsRef<Path>, format: BinFormat) -> Result<()> {
-    let bytes = match format {
-        BinFormat::Rkb1 => write_bytes(kb),
-        BinFormat::Rkb2 => write_bytes_v2(kb),
-    };
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)?;
+/// Writes a KB to a file.
+pub fn save(kb: &KnowledgeBase, path: impl AsRef<Path>) -> Result<()> {
+    std::fs::write(path, write_bytes(kb))?;
     Ok(())
 }
 
-/// Writes a KB to a file (`RKB1`).
-pub fn save(kb: &KnowledgeBase, path: impl AsRef<Path>) -> Result<()> {
-    save_as(kb, path, BinFormat::Rkb1)
-}
-
-/// Loads a KB from a file, sniffing the format from its magic. `RKB2`
-/// payloads stay zero-copy views of the (shared) file buffer.
+/// Loads a KB from a file. The succinct payload stays a zero-copy view of
+/// the file buffer.
 pub fn load(path: impl AsRef<Path>, inverse_fraction: f64) -> Result<KnowledgeBase> {
-    let mut f = std::fs::File::open(path)?;
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)?;
-    read_shared(&Bytes::from(bytes), inverse_fraction)
+    read_shared(&Bytes::from(std::fs::read(path)?), inverse_fraction)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
+    use crate::backend::{Backend, TripleStore};
+    use crate::ids::NodeId;
+    use crate::query::{Slot, TriplePattern};
+    use crate::store::{RDFS_LABEL, RDF_TYPE};
+    use crate::succinct::{BitVecBuilder, WaveBuilder};
     use crate::term::Term;
+    use proptest::prelude::*;
 
     fn sample_kb() -> KnowledgeBase {
         let mut b = KbBuilder::new();
@@ -649,6 +542,47 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A small KB in the shape the synthetic generators produce: typed
+    /// entities with labels, escaped and typed literals, a blank node,
+    /// and materialised inverses.
+    fn small_synth_kb() -> KnowledgeBase {
+        let mut b = KbBuilder::new();
+        for i in 0..24 {
+            let e = Term::iri(format!("http://x/e/Entity{i}"));
+            let class = ["City", "Country", "Person"][i % 3];
+            b.add(&e, RDF_TYPE, &Term::iri(format!("http://x/o/{class}")));
+            b.add(
+                &e,
+                RDFS_LABEL,
+                &Term::lang_literal(format!("Entity \"{i}\"\n"), "en"),
+            );
+            b.add(
+                &e,
+                "http://x/p/linksTo",
+                &Term::iri(format!("http://x/e/Entity{}", (i * 7 + 3) % 24)),
+            );
+            b.add(
+                &e,
+                "http://x/p/near",
+                &Term::iri(format!("http://x/e/Entity{}", i / 2)),
+            );
+            b.add(
+                &e,
+                "http://x/p/population",
+                &Term::typed_literal(
+                    (i * 1000).to_string(),
+                    "http://www.w3.org/2001/XMLSchema#integer",
+                ),
+            );
+        }
+        b.add(
+            &Term::blank("b0"),
+            "http://x/p/near",
+            &Term::iri("http://x/e/Entity0"),
+        );
+        b.build_with_inverses(0.5).unwrap()
+    }
+
     fn kb_lines(kb: &KnowledgeBase) -> std::collections::BTreeSet<String> {
         let mut v = Vec::new();
         crate::ntriples::write_kb(kb, &mut v).unwrap();
@@ -657,6 +591,96 @@ mod tests {
             .lines()
             .map(String::from)
             .collect()
+    }
+
+    /// Re-checksums a mutated body so crafted-input tests reach the
+    /// parser instead of the checksum gate.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// The section table of a well-formed file: `(tag, byte range)` per
+    /// entry, in table order.
+    fn section_table(bytes: &[u8]) -> Vec<(u8, std::ops::Range<usize>)> {
+        let header = MAGIC.len() + 2;
+        (0..usize::from(bytes[header - 1]))
+            .map(|i| {
+                let e = &bytes[header + i * 17..];
+                let off = u64::from_le_bytes(e[1..9].try_into().unwrap()) as usize;
+                let len = u64::from_le_bytes(e[9..17].try_into().unwrap()) as usize;
+                (e[0], off..off + len)
+            })
+            .collect()
+    }
+
+    /// Rebuilds a well-formed file with one section's payload replaced,
+    /// then reseals it.
+    fn replace_section(bytes: &[u8], tag: u8, payload: &[u8]) -> Vec<u8> {
+        let table = section_table(bytes);
+        let sections: Vec<&[u8]> = table
+            .iter()
+            .map(|(t, range)| {
+                if *t == tag {
+                    payload
+                } else {
+                    &bytes[range.clone()]
+                }
+            })
+            .collect();
+        let header = MAGIC.len() + 2;
+        let mut out = bytes[..header].to_vec();
+        let mut off = header + table.len() * 17;
+        for ((t, _), p) in table.iter().zip(&sections) {
+            out.push(*t);
+            out.extend_from_slice(&(off as u64).to_le_bytes());
+            out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+            off += p.len();
+        }
+        for p in &sections {
+            out.extend_from_slice(p);
+        }
+        out.extend_from_slice(&[0; 8]);
+        reseal(out)
+    }
+
+    /// The node dictionary as `(key, kind)` pairs in id order.
+    fn node_entries(kb: &KnowledgeBase) -> Vec<(String, TermKind)> {
+        kb.node_dict()
+            .iter()
+            .map(|(_, key, kind)| (key.to_string(), kind))
+            .collect()
+    }
+
+    /// A NODES section payload holding `entries` in order.
+    fn nodes_payload(entries: &[(String, TermKind)]) -> BytesMut {
+        let mut out = BytesMut::new();
+        varint::write_u64(&mut out, entries.len() as u64);
+        let mut prev = String::new();
+        for (key, kind) in entries {
+            out.put_u8(kind_to_u8(*kind));
+            write_front_coded(&mut out, &mut prev, key);
+        }
+        out
+    }
+
+    /// A TRIPLES section payload holding the given waves.
+    fn waves_payload(spo: &WaveIndex, ops: &WaveIndex, sp: &WaveIndex) -> BytesMut {
+        let mut out = BytesMut::new();
+        for wave in [spo, ops, sp] {
+            write_wave(&mut out, wave);
+        }
+        out
+    }
+
+    fn format_error(result: Result<KnowledgeBase>) -> String {
+        match result {
+            Err(KbError::Format(msg)) => msg,
+            Err(other) => panic!("expected a format error, got {other}"),
+            Ok(_) => panic!("expected a format error, got a KB"),
+        }
     }
 
     #[test]
@@ -671,7 +695,7 @@ mod tests {
     #[test]
     fn v2_roundtrip_preserves_triples_and_loads_succinct() {
         let kb = sample_kb();
-        let bytes = write_bytes_v2(&kb);
+        let bytes = write_bytes(&kb);
         let kb2 = read_bytes(&bytes, 0.0).unwrap();
         assert_eq!(kb2.backend(), Backend::Succinct);
         assert_eq!(kb2.num_triples(), kb.num_triples());
@@ -686,7 +710,7 @@ mod tests {
     #[test]
     fn v2_roundtrip_from_succinct_backend() {
         let kb = sample_kb().with_backend(Backend::Succinct);
-        let bytes = write_bytes_v2(&kb);
+        let bytes = write_bytes(&kb);
         let kb2 = read_bytes(&bytes, 0.0).unwrap();
         assert_eq!(kb_lines(&kb), kb_lines(&kb2));
     }
@@ -698,7 +722,7 @@ mod tests {
             b.add_iri(&format!("e:{city}"), "p:cityIn", "e:France");
         }
         let kb = b.build_with_inverses(0.25).unwrap();
-        let bytes = write_bytes_v2(&kb);
+        let bytes = write_bytes(&kb);
         // Loading with any fraction keeps the baked inverses.
         let kb2 = read_bytes(&bytes, 0.9).unwrap();
         let inv_iri = format!("p:cityIn{}", crate::store::INVERSE_SUFFIX);
@@ -716,7 +740,7 @@ mod tests {
             b.add_iri(&format!("e:{city}"), "p:cityIn", "e:France");
         }
         let kb = b.build().unwrap();
-        let bytes = write_bytes_v2(&kb);
+        let bytes = write_bytes(&kb);
         let kb2 = read_bytes(&bytes, 0.25).unwrap();
         let inv_iri = format!("p:cityIn{}", crate::store::INVERSE_SUFFIX);
         assert!(kb2.pred_id(&inv_iri).is_some());
@@ -726,7 +750,7 @@ mod tests {
     #[test]
     fn v2_load_is_zero_copy_for_wave_payloads() {
         let kb = sample_kb();
-        let bytes = write_bytes_v2(&kb);
+        let bytes = write_bytes(&kb);
         let shared = Bytes::copy_from_slice(&bytes);
         let kb2 = read_shared(&shared, 0.0).unwrap();
         let StoreBackend::Succinct(bt) = kb2.store() else {
@@ -742,52 +766,43 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let kb = sample_kb();
-        for bytes in [write_bytes(&kb).to_vec(), write_bytes_v2(&kb).to_vec()] {
-            let mut bytes = bytes;
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xff;
-            assert!(matches!(
-                read_bytes(&bytes, 0.0),
-                Err(KbError::Format(msg)) if msg.contains("checksum")
-            ));
-        }
+        let mut bytes = write_bytes(&sample_kb()).to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        assert!(format_error(read_bytes(&bytes, 0.0)).contains("checksum"));
     }
 
     #[test]
     fn truncation_is_detected() {
-        let kb = sample_kb();
-        for bytes in [write_bytes(&kb), write_bytes_v2(&kb)] {
-            assert!(read_bytes(&bytes[..bytes.len() - 9], 0.0).is_err());
-            assert!(read_bytes(&bytes[..4], 0.0).is_err());
-        }
+        let bytes = write_bytes(&sample_kb());
+        assert!(read_bytes(&bytes[..bytes.len() - 9], 0.0).is_err());
+        assert!(read_bytes(&bytes[..4], 0.0).is_err());
         assert!(read_bytes(&[], 0.0).is_err());
     }
 
-    /// Re-checksums a mutated RKB2 body so crafted-input tests reach the
-    /// parser instead of the checksum gate.
-    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        bytes
+    /// A checksum-valid file in the retired row-oriented format is refused
+    /// by name, with the way to regenerate it.
+    #[test]
+    fn rkb1_magic_names_the_retired_format() {
+        let mut bytes = RETIRED_MAGIC.to_vec();
+        bytes.extend_from_slice(&[0; 9]); // flags + checksum placeholder
+        let msg = format_error(read_bytes(&reseal(bytes), 0.0));
+        assert!(msg.contains("RKB1") && msg.contains("retired"), "{msg}");
+        assert!(
+            msg.contains("remi gen") && msg.contains("remi convert"),
+            "{msg}"
+        );
     }
 
     /// Hostile element counts must error before reaching `with_capacity`
     /// (which aborts, not unwinds, on capacity overflow).
     #[test]
     fn crafted_huge_counts_error_instead_of_aborting() {
-        // RKB1 whose node-count varint claims u64::MAX entries.
-        let mut bytes = BytesMut::new();
-        bytes.put_slice(MAGIC_V1);
-        bytes.put_u8(0); // flags
-        varint::write_u64(&mut bytes, u64::MAX);
-        let mut bytes = bytes.to_vec();
-        bytes.extend_from_slice(&[0u8; 8]); // checksum placeholder
-        assert!(matches!(
-            read_bytes(&reseal(bytes), 0.0),
-            Err(KbError::Format(msg)) if msg.contains("overruns")
-        ));
+        // A node section whose count varint claims u64::MAX entries.
+        let mut nodes = BytesMut::new();
+        varint::write_u64(&mut nodes, u64::MAX);
+        let bytes = replace_section(&write_bytes(&sample_kb()), SEC_NODES, &nodes);
+        assert!(format_error(read_bytes(&bytes, 0.0)).contains("overruns"));
 
         // Packed sequence / bitmap with a word count far beyond the
         // remaining bytes, and one whose capacity cannot hold its length.
@@ -818,8 +833,9 @@ mod tests {
         let mut raw = BytesMut::new();
         varint::write_u64(&mut raw, 1); // shared: splits the 2-byte 'é'
         varint::write_str(&mut raw, "x");
+        let mut key = "é".to_string();
         assert!(matches!(
-            read_front_coded(&mut raw.freeze(), "é"),
+            read_front_coded(&mut raw.freeze(), &mut key),
             Err(KbError::Format(msg)) if msg.contains("prefix overruns")
         ));
     }
@@ -827,65 +843,171 @@ mod tests {
     #[test]
     fn v2_crafted_section_offsets_error_instead_of_panicking() {
         let kb = sample_kb();
-        let mut bytes = write_bytes_v2(&kb).to_vec();
+        let mut bytes = write_bytes(&kb).to_vec();
         // First table entry starts right after magic+flags+count; poison
         // its offset with u64::MAX (wraps `off + len` if unchecked).
-        let entry = MAGIC_V2.len() + 2 + 1;
+        let entry = MAGIC.len() + 2 + 1;
         bytes[entry..entry + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            read_bytes(&reseal(bytes), 0.0),
-            Err(KbError::Format(msg)) if msg.contains("section")
-        ));
+        assert!(format_error(read_bytes(&reseal(bytes), 0.0)).contains("section"));
     }
 
     #[test]
     fn v2_checksummed_but_headerless_file_errors() {
         // Exactly magic + a valid checksum: no flags or section count.
         let bytes = reseal(b"RKB2\0\0\0\0\0\0\0\0".to_vec());
+        assert!(format_error(read_bytes(&bytes, 0.0)).contains("truncated"));
+    }
+
+    /// An SP (subject→predicates) wave with two groups is refused before
+    /// it reaches the single-group assert in `BitmapTriples::from_waves`.
+    #[test]
+    fn v2_multi_group_sp_wave_errors_instead_of_panicking() {
+        let kb = sample_kb();
+        let bt = build_bitmap_triples(kb.store(), kb.num_nodes());
+        let mut sp = WaveBuilder::new(8, 8);
+        sp.begin_group();
+        sp.push_run(0, [0]);
+        sp.begin_group();
+        sp.push_run(1, [0]);
+        let waves = waves_payload(bt.spo(), bt.ops(), &sp.finish());
+        let bytes = replace_section(&write_bytes(&kb), SEC_TRIPLES, &waves);
+        assert!(format_error(read_bytes(&bytes, 0.0)).contains("exactly one group"));
+    }
+
+    /// Wave ids past the dictionaries are refused on load; a KB holding
+    /// them would panic on the first `node_name`.
+    #[test]
+    fn v2_ids_outside_dictionaries_error_instead_of_panicking() {
+        let kb = sample_kb();
+        let bytes = write_bytes(&kb);
+
+        // A node dictionary one entry shorter than the ids in the waves
+        // (the last node, the blank `b0`, is a subject of `near`).
+        let short = kb.num_nodes() - 1;
+        let nodes = nodes_payload(&node_entries(&kb)[..short]);
+        let mut meta = BytesMut::new();
+        varint::write_u64(&mut meta, kb.num_triples() as u64);
+        varint::write_u64(&mut meta, short as u64);
+        for n in kb.node_ids().take(short) {
+            varint::write_u32(&mut meta, kb.node_frequency(n));
+        }
+        let crafted = replace_section(&replace_section(&bytes, SEC_NODES, &nodes), SEC_META, &meta);
+        let msg = format_error(read_bytes(&crafted, 0.0));
+        assert!(msg.contains("outside the dictionaries"), "{msg}");
+
+        // An SP wave naming a predicate id past the predicate dictionary.
+        let bt = build_bitmap_triples(kb.store(), kb.num_nodes());
+        let mut sp = WaveBuilder::new(8, 8);
+        sp.begin_group();
+        sp.push_run(0, [kb.num_preds() as u32]);
+        let waves = waves_payload(bt.spo(), bt.ops(), &sp.finish());
+        let crafted = replace_section(&bytes, SEC_TRIPLES, &waves);
+        let msg = format_error(read_bytes(&crafted, 0.0));
+        assert!(msg.contains("SP wave holds an id outside"), "{msg}");
+    }
+
+    /// A literal key that does not parse is refused on load (it would
+    /// panic in `Term::from_dict_key` on first use), and so is a kind
+    /// byte that disagrees with its key.
+    #[test]
+    fn v2_malformed_node_keys_error_instead_of_panicking() {
+        let kb = sample_kb();
+        let bytes = write_bytes(&kb);
+        let keys = node_entries(&kb);
+        let literal = keys
+            .iter()
+            .position(|(_, kind)| *kind == TermKind::Literal)
+            .unwrap();
+
+        let mut unterminated = keys.clone();
+        unterminated[literal].0 = "\"Paris@fr".into();
+        let nodes = nodes_payload(&unterminated);
+        let msg = format_error(read_bytes(&replace_section(&bytes, SEC_NODES, &nodes), 0.0));
+        assert!(msg.contains("malformed literal key"), "{msg}");
+
+        let mut mislabelled = keys.clone();
+        mislabelled[0].1 = TermKind::Literal;
+        let nodes = nodes_payload(&mislabelled);
+        let msg = format_error(read_bytes(&replace_section(&bytes, SEC_NODES, &nodes), 0.0));
+        assert!(msg.contains("kind byte disagrees"), "{msg}");
+    }
+
+    /// Group bounds that cut through a key's run would make a lookup in
+    /// one group read values of the next, or scan past the last delimiter.
+    #[test]
+    fn v2_group_bounds_splitting_a_run_error() {
+        let wave =
+            |groups: u64, key_bounds: &[u32], val_bounds: &[u32], bits: &[bool], vals: &[u32]| {
+                let mut last = BitVecBuilder::new();
+                for &bit in bits {
+                    last.push(bit);
+                }
+                let mut raw = BytesMut::new();
+                varint::write_u64(&mut raw, groups);
+                for &b in key_bounds.iter().chain(val_bounds) {
+                    varint::write_u32(&mut raw, b);
+                }
+                write_packed(&mut raw, &PackedSeq::from_values(4, [1, 2]));
+                write_bitvec(&mut raw, &last.finish());
+                write_packed(&mut raw, &PackedSeq::from_values(4, vals.iter().copied()));
+                read_wave(&mut raw.freeze())
+            };
+        let splits = |r: Result<WaveIndex>| matches!(r, Err(KbError::Format(m)) if m.contains("split a run"));
+        // Two keys with runs [3, 4] and [5]: value bound 1 cuts run 0.
+        assert!(splits(wave(
+            2,
+            &[0, 1, 2],
+            &[0, 1, 3],
+            &[false, true, true],
+            &[3, 4, 5]
+        )));
+        // Group 0 claims every value, so group 1's key has no run left.
+        assert!(splits(wave(
+            2,
+            &[0, 1, 2],
+            &[0, 3, 3],
+            &[false, true, true],
+            &[3, 4, 5]
+        )));
+        // The same bounds over well-placed runs load.
+        assert!(wave(2, &[0, 1, 2], &[0, 2, 3], &[false, true, true], &[3, 4, 5]).is_ok());
+
+        // A delimiter stored past the bitmap's length (bit 5 of a 2-bit
+        // map) keeps the one-per-key count but leaves the last run open.
+        let mut raw = BytesMut::new();
+        varint::write_u64(&mut raw, 1);
+        for b in [0, 2, 0, 2] {
+            varint::write_u32(&mut raw, b);
+        }
+        write_packed(&mut raw, &PackedSeq::from_values(4, [1, 2]));
+        varint::write_u64(&mut raw, 2); // len_bits
+        varint::write_u64(&mut raw, 1); // n_words
+        raw.put_u64_le(0b10_0010);
+        write_packed(&mut raw, &PackedSeq::from_values(4, [3, 4]));
         assert!(matches!(
-            read_bytes(&bytes, 0.0),
-            Err(KbError::Format(msg)) if msg.contains("truncated")
+            read_wave(&mut raw.freeze()),
+            Err(KbError::Format(m)) if m.contains("split a run")
         ));
     }
 
     #[test]
     fn bad_magic_is_detected() {
-        let kb = sample_kb();
-        let mut bytes = write_bytes(&kb).to_vec();
+        let mut bytes = write_bytes(&sample_kb()).to_vec();
         bytes[0] = b'X';
-        // Fix up the checksum so we actually reach the magic check.
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            read_bytes(&bytes, 0.0),
-            Err(KbError::Format(msg)) if msg.contains("magic")
-        ));
+        assert!(format_error(read_bytes(&reseal(bytes), 0.0)).contains("magic"));
     }
 
     #[test]
-    fn file_roundtrip_both_formats() {
+    fn file_roundtrip_loads_succinct() {
         let kb = sample_kb();
         let dir = std::env::temp_dir().join("remi_kb_binfmt_test");
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, format) in [
-            ("sample.rkb", BinFormat::Rkb1),
-            ("sample.rkb2", BinFormat::Rkb2),
-        ] {
-            let path = dir.join(name);
-            save_as(&kb, &path, format).unwrap();
-            let kb2 = load(&path, 0.0).unwrap();
-            assert_eq!(kb_lines(&kb), kb_lines(&kb2), "{name}");
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn format_names_roundtrip() {
-        for f in [BinFormat::Rkb1, BinFormat::Rkb2] {
-            assert_eq!(BinFormat::parse(f.name()), Some(f));
-        }
-        assert_eq!(BinFormat::parse("hdt"), None);
+        let path = dir.join("sample.rkb");
+        save(&kb, &path).unwrap();
+        let kb2 = load(&path, 0.0).unwrap();
+        assert_eq!(kb2.backend(), Backend::Succinct);
+        assert_eq!(kb_lines(&kb), kb_lines(&kb2));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -916,9 +1038,106 @@ mod tests {
         b.add_iri("e:café", "p:r", "e:x");
         b.add_iri("e:cafés", "p:r", "e:x");
         let kb = b.build().unwrap();
-        for bytes in [write_bytes(&kb), write_bytes_v2(&kb)] {
-            let kb2 = read_bytes(&bytes, 0.0).unwrap();
-            assert_eq!(kb_lines(&kb), kb_lines(&kb2));
+        let kb2 = read_bytes(&write_bytes(&kb), 0.0).unwrap();
+        assert_eq!(kb_lines(&kb), kb_lines(&kb2));
+    }
+
+    /// Runs every `TripleStore` primitive over every predicate and node,
+    /// then the KB-level readers a loaded file feeds (`iter_triples`,
+    /// names, N-Triples export, CSR conversion). Returns a checksum so
+    /// nothing is optimised away.
+    fn exercise(kb: &KnowledgeBase) -> usize {
+        let store = kb.store();
+        let mut acc = store.num_preds() + store.memory().total();
+        for p in kb.pred_ids() {
+            acc += store.num_facts(p);
+            for i in 0..store.num_subjects(p) {
+                acc += store.subject_at(p, i).idx() + store.objects_at(p, i).iter().count();
+            }
+            for i in 0..store.num_objects(p) {
+                acc += store.object_at(p, i).idx()
+                    + store.subjects_at(p, i).iter().count()
+                    + store.object_group_len(p, i);
+            }
+            for n in kb.node_ids() {
+                let objects = store.objects(p, n);
+                acc += objects.iter().count() + store.subjects(p, n).iter().count();
+                acc += usize::from(store.contains(n, p, n));
+                if let Some(o) = objects.first() {
+                    acc += usize::from(store.contains(n, p, NodeId(o)));
+                }
+                let pat = TriplePattern::new(Slot::Bound(n.0), Slot::Bound(p.0), Slot::Var(0));
+                acc += store.solve(pat).count();
+            }
+            let pat = TriplePattern::new(Slot::Var(0), Slot::Bound(p.0), Slot::Var(1));
+            acc += store.solve(pat).count();
+            acc += kb.pred_name(p).len();
         }
+        for n in kb.node_ids() {
+            acc += store.preds_of_subject(n).iter().count() + kb.node_name(n).len();
+            let pat = TriplePattern::new(Slot::Var(0), Slot::Var(1), Slot::Bound(n.0));
+            acc += store.solve(pat).count();
+        }
+        acc += kb.iter_triples().count();
+        acc += kb_lines(kb).len();
+        let csr = kb.clone().with_backend(Backend::Csr);
+        acc + csr.iter_triples().count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Random damage behind a valid checksum — 1–8 byte flips, or a
+        /// truncation, inside the body — either fails to load with an
+        /// error or loads a KB every reader can walk without panicking.
+        /// Each case aims its flips at one region (the whole body, the
+        /// header and section table, or one section): the dictionaries
+        /// dominate the file, so uniform flips alone would rarely reach
+        /// the waves with the dictionaries still intact.
+        #[test]
+        fn prop_mutated_files_load_or_error_without_panicking(
+            truncate in 0u8..4,
+            region in 0usize..6,
+            flips in proptest::collection::vec((any::<u32>(), 1u8..=255), 1..9),
+            inverse_fraction in prop_oneof![Just(0.0), Just(0.5)],
+        ) {
+            let clean = write_bytes(&small_synth_kb());
+            let body_len = clean.len() - 8;
+            let table = section_table(&clean);
+            let target = match region {
+                0 => 0..body_len,
+                1 => 0..table[0].1.start,
+                r => table[r - 2].1.clone(),
+            };
+            let mut body = clean[..body_len].to_vec();
+            if truncate == 0 {
+                body.truncate(flips[0].0 as usize % body_len);
+            } else {
+                for &(pos, mask) in &flips {
+                    body[target.start + pos as usize % target.len()] ^= mask;
+                }
+            }
+            body.extend_from_slice(&[0; 8]);
+            let bytes = reseal(body);
+            let outcome = std::panic::catch_unwind(|| {
+                read_bytes(&bytes, inverse_fraction).map(|kb| exercise(&kb))
+            });
+            prop_assert!(
+                outcome.is_ok(),
+                "panicked (truncate {}, region {}, flips {:?}, inverse fraction {})",
+                truncate == 0,
+                region,
+                flips,
+                inverse_fraction
+            );
+        }
+    }
+
+    #[test]
+    fn untouched_synth_file_passes_the_exercise() {
+        let kb = small_synth_kb();
+        let loaded = read_bytes(&write_bytes(&kb), 0.0).unwrap();
+        assert_eq!(kb_lines(&kb), kb_lines(&loaded));
+        assert!(exercise(&loaded) > 0);
     }
 }

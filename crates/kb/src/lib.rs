@@ -15,8 +15,8 @@
 //! * [`delta`] — live ingestion: a mutable delta overlay (`LiveKb`) with
 //!   epoch snapshots and compaction, layered over any backend.
 //! * [`ntriples`] — N-Triples parsing and serialisation.
-//! * [`binfmt`] — the `RKB1` (row-oriented) and `RKB2` (succinct,
-//!   section-table) binary file formats.
+//! * [`binfmt`] — `RKB2`, the one binary file format: a section table over
+//!   the succinct layout that loads zero-copy.
 //! * [`pagerank`] — endogenous PageRank, the `pr` prominence metric.
 //! * [`query`] — triple-pattern resolution ([`TripleStore::solve`]) and
 //!   the small BGP executor behind `POST /query` / `remi query`.
@@ -74,9 +74,10 @@ pub use term::{Term, TermKind};
 pub use remi_pool::CancelToken;
 
 /// Loads a KB from a path, dispatching on the extension: `.nt` /
-/// `.ntriples` → N-Triples, anything else → a binary format (the magic
-/// decides between `RKB1` and `RKB2`). Inverse predicates are rebuilt for
-/// the top `inverse_fraction` of predicates where the format allows.
+/// `.ntriples` → N-Triples (CSR backend), anything else → `RKB2`
+/// (succinct backend, zero-copy). Inverse predicates are built for the
+/// top `inverse_fraction` of entities unless an `RKB2` file already holds
+/// them.
 ///
 /// This is the one shared loading dispatch — the `remi` CLI and the
 /// serve load generator both route through it.

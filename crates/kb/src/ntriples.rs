@@ -64,9 +64,15 @@ pub fn unescape(s: &str) -> std::result::Result<String, String> {
     Ok(out)
 }
 
-/// Parses a literal in N-Triples surface form: `"lex"`, `"lex"@lang`, or
-/// `"lex"^^<datatype>`.
-pub fn parse_literal(s: &str) -> std::result::Result<Term, String> {
+/// A literal in N-Triples surface form split into borrowed parts: the
+/// still-escaped lexical body and the language tag or datatype IRI.
+struct LiteralParts<'a> {
+    body: &'a str,
+    lang: Option<&'a str>,
+    datatype: Option<&'a str>,
+}
+
+fn split_literal(s: &str) -> std::result::Result<LiteralParts<'_>, String> {
     if !s.starts_with('"') {
         return Err("literal must start with '\"'".into());
     }
@@ -85,25 +91,52 @@ pub fn parse_literal(s: &str) -> std::result::Result<Term, String> {
         }
     }
     let end = end.ok_or("unterminated literal")?;
-    let lexical = unescape(&s[1..end])?;
+    let mut parts = LiteralParts {
+        body: &s[1..end],
+        lang: None,
+        datatype: None,
+    };
     let rest = &s[end + 1..];
     if rest.is_empty() {
-        return Ok(Term::literal(lexical));
+        return Ok(parts);
     }
     if let Some(lang) = rest.strip_prefix('@') {
         if lang.is_empty() {
             return Err("empty language tag".into());
         }
-        return Ok(Term::lang_literal(lexical, lang));
+        parts.lang = Some(lang);
+        return Ok(parts);
     }
     if let Some(dt) = rest.strip_prefix("^^") {
         let dt = dt
             .strip_prefix('<')
             .and_then(|d| d.strip_suffix('>'))
             .ok_or("datatype must be an IRI in angle brackets")?;
-        return Ok(Term::typed_literal(lexical, dt));
+        parts.datatype = Some(dt);
+        return Ok(parts);
     }
     Err(format!("trailing garbage after literal: {rest}"))
+}
+
+/// Parses a literal in N-Triples surface form: `"lex"`, `"lex"@lang`, or
+/// `"lex"^^<datatype>`.
+pub fn parse_literal(s: &str) -> std::result::Result<Term, String> {
+    let parts = split_literal(s)?;
+    Ok(Term::Literal {
+        lexical: unescape(parts.body)?,
+        datatype: parts.datatype.map(String::from),
+        lang: parts.lang.map(String::from),
+    })
+}
+
+/// Checks that [`parse_literal`] accepts `s` without building the term;
+/// allocates only when the lexical body holds escapes.
+pub(crate) fn check_literal(s: &str) -> std::result::Result<(), String> {
+    let body = split_literal(s)?.body;
+    if body.contains('\\') {
+        unescape(body)?;
+    }
+    Ok(())
 }
 
 /// A single parsed term plus the byte position right after it.
@@ -351,6 +384,29 @@ _:b0 <p:near> <e:Paris> .
     }
 
     #[test]
+    fn check_literal_agrees_with_parse_literal() {
+        for s in [
+            "\"plain\"",
+            "\"Paris\"@fr",
+            "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+            "\"esc \\\" \\n \\u00e9\"",
+            "\"unterminated",
+            "\"bad \\q escape\"",
+            "\"short \\u00\"",
+            "\"x\"@",
+            "\"x\"^^http://no-brackets",
+            "\"x\"trailing",
+            "no-quote",
+        ] {
+            assert_eq!(
+                check_literal(s).is_ok(),
+                parse_literal(s).is_ok(),
+                "disagree on {s:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parse_error_reports_line_number() {
         let doc = "<e:a> <p:q> <e:b> .\nthis is not a triple\n";
         match parse_document(doc) {
@@ -377,6 +433,7 @@ _:b0 <p:near> <e:Paris> .
                 None => Term::literal(lex.clone()),
             };
             let surface = term.dict_key();
+            prop_assert!(check_literal(&surface).is_ok());
             prop_assert_eq!(parse_literal(&surface).unwrap(), term);
         }
     }

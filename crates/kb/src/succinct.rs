@@ -238,6 +238,31 @@ impl PackedSeq {
         }
     }
 
+    /// True when every value is below `bound`: one pass, skipped outright
+    /// when the width cannot encode a value that large. Zero-copy payloads
+    /// (the file loader's case) take one unaligned 8-byte load per value —
+    /// a value spans at most 32 + 7 bits of its window.
+    pub(crate) fn all_below(&self, bound: u64) -> bool {
+        if bound >= 1u64 << self.width {
+            return true;
+        }
+        let below = |i: usize| u64::from(self.get(i)) < bound;
+        let WordSeq::Shared(bytes) = &self.words else {
+            return (0..self.len).all(below);
+        };
+        let (width, mask) = (self.width as usize, (1u64 << self.width) - 1);
+        (0..self.len).all(|i| {
+            let bit = i * width;
+            match bytes.get(bit / 8..bit / 8 + 8) {
+                Some(w) => {
+                    let window = u64::from_le_bytes(w.try_into().expect("8-byte window"));
+                    (window >> (bit % 8)) & mask < bound
+                }
+                None => below(i),
+            }
+        })
+    }
+
     /// Binary search for `value` in the sorted range `lo..hi`.
     pub fn binary_search_range(&self, lo: usize, hi: usize, value: u32) -> Result<usize, usize> {
         let (mut lo, mut hi) = (lo, hi);
@@ -950,6 +975,39 @@ mod tests {
         assert_eq!(seq.binary_search_range(0, 5, 28), Err(3));
         assert_eq!(seq.binary_search_range(2, 5, 3), Err(2));
         assert_eq!(seq.binary_search_range(0, 0, 3), Err(0));
+    }
+
+    #[test]
+    fn all_below_matches_a_naive_scan_at_every_width() {
+        for width in 1..=32u32 {
+            let max = u32::MAX >> (32 - width);
+            let values: Vec<u32> = (0..150u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) & max)
+                .collect();
+            let owned = PackedSeq::from_values(width, values.iter().copied());
+            let mut buf = bytes::BytesMut::new();
+            owned.words().write_le(&mut buf);
+            let shared = PackedSeq::from_words(WordSeq::Shared(buf.freeze()), width, values.len());
+            let top = u64::from(*values.iter().max().unwrap());
+            for bound in [0, 1, top, top + 1, u64::from(max) + 1] {
+                let naive = values.iter().all(|&v| u64::from(v) < bound);
+                assert_eq!(
+                    owned.all_below(bound),
+                    naive,
+                    "width {width}, bound {bound}"
+                );
+                assert_eq!(
+                    shared.all_below(bound),
+                    naive,
+                    "width {width}, bound {bound}"
+                );
+            }
+            // Only the last value is out of range: the scan must reach it.
+            let mut tail = vec![0u32; 99];
+            tail.push(max);
+            let seq = PackedSeq::from_values(width, tail);
+            assert!(!seq.all_below(u64::from(max)), "width {width}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Sorted id sequences delta-encode to tiny gaps, so varints give the
 //! HDT-style compression the paper relies on for its storage layer.
 
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{KbError, Result};
 
@@ -64,15 +64,18 @@ pub fn write_str(out: &mut impl BufMut, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
-/// Reads a length-prefixed UTF-8 string.
-pub fn read_str(buf: &mut impl Buf) -> Result<String> {
+/// Reads a length-prefixed UTF-8 string, appending it to `out` straight
+/// from the buffer (no intermediate allocation).
+pub fn read_str(buf: &mut Bytes, out: &mut String) -> Result<()> {
     let len = read_u64(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(KbError::Format("truncated string".into()));
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| KbError::Format("invalid UTF-8 in string".into()))
+    let bytes = buf
+        .get(..len)
+        .ok_or_else(|| KbError::Format("truncated string".into()))?;
+    let s = std::str::from_utf8(bytes)
+        .map_err(|_| KbError::Format("invalid UTF-8 in string".into()))?;
+    out.push_str(s);
+    buf.advance(len);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -133,7 +136,9 @@ mod tests {
         let mut buf = BytesMut::new();
         write_str(&mut buf, "héllo wörld");
         let mut b = buf.freeze();
-        assert_eq!(read_str(&mut b).unwrap(), "héllo wörld");
+        let mut s = String::new();
+        read_str(&mut b, &mut s).unwrap();
+        assert_eq!(s, "héllo wörld");
     }
 
     #[test]
@@ -142,7 +147,7 @@ mod tests {
         write_str(&mut buf, "hello");
         let bytes = buf.freeze();
         let mut cut = bytes.slice(..3);
-        assert!(read_str(&mut cut).is_err());
+        assert!(read_str(&mut cut, &mut String::new()).is_err());
     }
 
     proptest! {
@@ -156,7 +161,9 @@ mod tests {
             let mut buf = BytesMut::new();
             write_str(&mut buf, &s);
             let mut b = buf.freeze();
-            prop_assert_eq!(read_str(&mut b).unwrap(), s);
+            let mut out = String::new();
+            read_str(&mut b, &mut out).unwrap();
+            prop_assert_eq!(out, s);
         }
 
         #[test]

@@ -26,7 +26,7 @@
 //! `scripts/events_check.py`.
 //!
 //! Usage:
-//!   remi-serve-load <kb.{rkb,rkb2,nt}> [--requests N] [--clients C]
+//!   remi-serve-load <kb.{rkb,nt}> [--requests N] [--clients C]
 //!                   [--backend csr|succinct] [--entities e:A,e:B,...]
 //!                   [--mode describe|summarize|healthz] [--cold]
 //!                   [--ingest-ratio F] [--query-ratio F]

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use remi_cli::{cmd_convert, cmd_describe, cmd_gen, DescribeOpts};
 use remi_core::{Remi, RemiConfig};
-use remi_kb::{Backend, KbBuilder, KnowledgeBase, NodeId};
+use remi_kb::{Backend, KbBuilder, KnowledgeBase, NodeId, TripleStore};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -90,32 +90,59 @@ fn cli_describe_output_is_backend_independent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `remi convert` round-trips through RKB2 losslessly: rkb → rkb2 → rkb
-/// preserves every triple, and the rkb2 file loads on the succinct
-/// backend natively.
+/// `remi convert` round-trips losslessly: `.rkb → .nt → .rkb` keeps
+/// every triple, every `.rkb` file loads on the succinct backend, and the
+/// CSR conversion `--backend csr` runs on a loaded file answers every
+/// primitive exactly like the succinct store it came from.
 #[test]
 fn convert_roundtrips_through_rkb2() {
     let dir = tmpdir("convert");
-    let v1 = dir.join("kb.rkb");
-    let v2 = dir.join("kb.rkb2");
+    let rkb = dir.join("kb.rkb");
+    let nt = dir.join("kb.nt");
     let back = dir.join("kb_back.rkb");
-    cmd_gen("wikidata", 0.2, 5, &v1).unwrap();
-    cmd_convert(&v1, &v2, None).unwrap();
-    cmd_convert(&v2, &back, None).unwrap();
+    cmd_gen("wikidata", 0.2, 5, &rkb).unwrap();
+    cmd_convert(&rkb, &nt).unwrap();
+    cmd_convert(&nt, &back).unwrap();
 
-    let kb1 = remi_kb::binfmt::load(&v1, 0.0).unwrap();
-    let kb2 = remi_kb::binfmt::load(&v2, 0.0).unwrap();
+    let kb1 = remi_kb::binfmt::load(&rkb, 0.0).unwrap();
     let kb3 = remi_kb::binfmt::load(&back, 0.0).unwrap();
-    assert_eq!(kb1.backend(), Backend::Csr);
-    assert_eq!(kb2.backend(), Backend::Succinct);
-    assert_eq!(kb3.backend(), Backend::Csr);
-    assert_eq!(kb1.num_triples(), kb2.num_triples());
+    assert_eq!(kb1.backend(), Backend::Succinct);
+    assert_eq!(kb3.backend(), Backend::Succinct);
     assert_eq!(kb1.num_triples(), kb3.num_triples());
     for t in kb1.iter_triples() {
-        let s = kb2.node_id_by_iri(kb1.node_key(t.s)).unwrap();
-        let p = kb2.pred_id(kb1.pred_iri(t.p)).unwrap();
-        let o = kb2.node_id_by_iri(kb1.node_key(t.o)).unwrap();
-        assert!(kb2.contains(s, p, o));
+        let s = kb3.node_id_by_iri(kb1.node_key(t.s)).unwrap();
+        let p = kb3.pred_id(kb1.pred_iri(t.p)).unwrap();
+        let o = kb3.node_id_by_iri(kb1.node_key(t.o)).unwrap();
+        assert!(kb3.contains(s, p, o));
+    }
+
+    let csr = kb1.clone().with_backend(Backend::Csr);
+    assert_eq!(csr.backend(), Backend::Csr);
+    let (a, b) = (kb1.store(), csr.store());
+    assert_eq!(a.num_preds(), b.num_preds());
+    for p in kb1.pred_ids() {
+        assert_eq!(a.num_facts(p), b.num_facts(p));
+        assert_eq!(a.num_subjects(p), b.num_subjects(p));
+        assert_eq!(a.num_objects(p), b.num_objects(p));
+        for i in 0..a.num_subjects(p) {
+            assert_eq!(a.subject_at(p, i), b.subject_at(p, i));
+            assert_eq!(a.objects_at(p, i).to_vec(), b.objects_at(p, i).to_vec());
+        }
+        for i in 0..a.num_objects(p) {
+            assert_eq!(a.object_at(p, i), b.object_at(p, i));
+            assert_eq!(a.subjects_at(p, i).to_vec(), b.subjects_at(p, i).to_vec());
+            assert_eq!(a.object_group_len(p, i), b.object_group_len(p, i));
+        }
+        for n in kb1.node_ids() {
+            assert_eq!(a.objects(p, n).to_vec(), b.objects(p, n).to_vec());
+            assert_eq!(a.subjects(p, n).to_vec(), b.subjects(p, n).to_vec());
+        }
+    }
+    for n in kb1.node_ids() {
+        assert_eq!(
+            a.preds_of_subject(n).to_vec(),
+            b.preds_of_subject(n).to_vec()
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -140,7 +167,7 @@ fn rkb2_front_coding_handles_adversarial_unicode() {
         b.add_iri(k, "p:r", keys[(i + 1) % keys.len()]);
     }
     let kb = b.build().unwrap();
-    let bytes = remi_kb::binfmt::write_bytes_v2(&kb);
+    let bytes = remi_kb::binfmt::write_bytes(&kb);
     let kb2 = remi_kb::binfmt::read_bytes(&bytes, 0.0).unwrap();
     assert_eq!(kb.num_nodes(), kb2.num_nodes());
     for k in keys {
@@ -151,8 +178,8 @@ fn rkb2_front_coding_handles_adversarial_unicode() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Arbitrary small KBs: both backends and both binary formats agree
-    /// on every mined expression for every singleton target.
+    /// Arbitrary small KBs: both backends, and an `RKB2` reload, agree on
+    /// every mined expression for every singleton target.
     #[test]
     fn prop_backends_and_formats_mine_identically(
         facts in proptest::collection::vec((0u8..12, 0u8..4, 0u8..12), 3..40),
@@ -164,7 +191,7 @@ proptest! {
         let csr = b.build().unwrap();
         let succinct = csr.clone().with_backend(Backend::Succinct);
         // And once more through the RKB2 wire format.
-        let rkb2 = remi_kb::binfmt::write_bytes_v2(&csr);
+        let rkb2 = remi_kb::binfmt::write_bytes(&csr);
         let reloaded = remi_kb::binfmt::read_bytes(&rkb2, 0.0).unwrap();
         prop_assert_eq!(reloaded.backend(), Backend::Succinct);
 
@@ -180,9 +207,9 @@ proptest! {
     }
 
     /// Front-coding + varint roundtrip on arbitrary unicode keys through
-    /// both binary formats.
+    /// `RKB2`.
     #[test]
-    fn prop_unicode_keys_roundtrip_both_formats(
+    fn prop_unicode_keys_roundtrip_rkb2(
         raw in proptest::collection::vec(".{1,24}", 2..14),
     ) {
         let mut keys: Vec<String> = raw.into_iter().map(|k| format!("e:{k}")).collect();
@@ -193,15 +220,10 @@ proptest! {
             b.add_iri(k, "p:r", &keys[(i + 1) % keys.len()]);
         }
         let kb = b.build().unwrap();
-        for bytes in [
-            remi_kb::binfmt::write_bytes(&kb),
-            remi_kb::binfmt::write_bytes_v2(&kb),
-        ] {
-            let kb2 = remi_kb::binfmt::read_bytes(&bytes, 0.0).unwrap();
-            prop_assert_eq!(kb.num_nodes(), kb2.num_nodes());
-            for k in &keys {
-                prop_assert!(kb2.node_id_by_iri(k).is_some(), "lost key {:?}", k);
-            }
+        let kb2 = remi_kb::binfmt::read_bytes(&remi_kb::binfmt::write_bytes(&kb), 0.0).unwrap();
+        prop_assert_eq!(kb.num_nodes(), kb2.num_nodes());
+        for k in &keys {
+            prop_assert!(kb2.node_id_by_iri(k).is_some(), "lost key {:?}", k);
         }
     }
 }

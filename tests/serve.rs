@@ -743,7 +743,7 @@ fn cli_serve_round_trip() {
         std::thread::current().id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let kb_path = dir.join("kb.rkb2");
+    let kb_path = dir.join("kb.rkb");
     remi_cli::cmd_gen("dbpedia", 0.2, 5, &kb_path).unwrap();
 
     let opts = remi_cli::ServeOpts {
@@ -757,7 +757,7 @@ fn cli_serve_round_trip() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let stats = client.get("/stats").unwrap();
     assert_eq!(stats.status, 200);
-    // An .rkb2 file loads into the succinct backend natively.
+    // A binary KB file loads into the succinct backend natively.
     assert!(
         stats.body.contains("\"primary\":\"succinct\""),
         "{}",
