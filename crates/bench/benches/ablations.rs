@@ -2,7 +2,6 @@
 //! * LRU binding cache on/off;
 //! * prominent-object pruning on/off;
 //! * exact-rank vs power-law entity codes;
-//! * incumbent root cutoff on/off;
 //! * P-REMI thread scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -14,7 +13,6 @@ fn config(
     cache: usize,
     prominent_cutoff: f64,
     entity_code: EntityCodeMode,
-    cutoff: bool,
     threads: usize,
 ) -> RemiConfig {
     RemiConfig {
@@ -25,9 +23,8 @@ fn config(
         entity_code,
         cache_capacity: cache,
         threads,
-        incumbent_root_cutoff: cutoff,
-        // Bounded per call: the no_root_cutoff variant is deliberately
-        // quadratic in the queue size without this.
+        // Bounded per call: without the prominent-object pruning the
+        // queue grows ~20×.
         timeout: Some(std::time::Duration::from_millis(250)),
         ..Default::default()
     }
@@ -44,31 +41,24 @@ fn bench(c: &mut Criterion) {
     let variants: Vec<(&str, RemiConfig)> = vec![
         (
             "baseline",
-            config(16_384, 0.05, EntityCodeMode::PowerLaw, true, 1),
+            config(16_384, 0.05, EntityCodeMode::PowerLaw, 1),
         ),
-        (
-            "cache_off",
-            config(1, 0.05, EntityCodeMode::PowerLaw, true, 1),
-        ),
+        ("cache_off", config(1, 0.05, EntityCodeMode::PowerLaw, 1)),
         (
             "no_prominent_pruning",
-            config(16_384, 0.0, EntityCodeMode::PowerLaw, true, 1),
+            config(16_384, 0.0, EntityCodeMode::PowerLaw, 1),
         ),
         (
             "exact_rank_codes",
-            config(16_384, 0.05, EntityCodeMode::ExactRank, true, 1),
-        ),
-        (
-            "no_root_cutoff",
-            config(16_384, 0.05, EntityCodeMode::PowerLaw, false, 1),
+            config(16_384, 0.05, EntityCodeMode::ExactRank, 1),
         ),
         (
             "threads_2",
-            config(16_384, 0.05, EntityCodeMode::PowerLaw, true, 2),
+            config(16_384, 0.05, EntityCodeMode::PowerLaw, 2),
         ),
         (
             "threads_8",
-            config(16_384, 0.05, EntityCodeMode::PowerLaw, true, 8),
+            config(16_384, 0.05, EntityCodeMode::PowerLaw, 8),
         ),
     ];
     for (name, cfg) in variants {
@@ -84,8 +74,8 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Report the effect of the pruning heuristics on queue sizes once.
-    let pruned = Remi::new(kb, config(16_384, 0.05, EntityCodeMode::PowerLaw, true, 1));
-    let unpruned = Remi::new(kb, config(16_384, 0.0, EntityCodeMode::PowerLaw, true, 1));
+    let pruned = Remi::new(kb, config(16_384, 0.05, EntityCodeMode::PowerLaw, 1));
+    let unpruned = Remi::new(kb, config(16_384, 0.0, EntityCodeMode::PowerLaw, 1));
     let t = targets[0];
     let (qp, _) = pruned.ranked_common_expressions(&[t]);
     let (qu, _) = unpruned.ranked_common_expressions(&[t]);

@@ -1,11 +1,12 @@
 //! Figure 1 — the DFS over conjunctions: pruning-by-depth and side
-//! pruning exercised on a Rennes/Nantes-style workload, benchmarked for
-//! the three search variants.
+//! pruning exercised on a Rennes/Nantes-style workload: queue
+//! construction, sequential REMI and 8-task P-REMI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use remi_bench::dbpedia;
 use remi_core::eval::Evaluator;
-use remi_core::search::{parallel_or_sequential, remi_search};
+use remi_core::parallel::parallel_remi_search_on;
+use remi_core::search::{remi_search, Deadline};
 use remi_core::{Remi, RemiConfig};
 
 fn bench(c: &mut Criterion) {
@@ -23,6 +24,7 @@ fn bench(c: &mut Criterion) {
         queue.len()
     );
 
+    let no_deadline = Deadline::default();
     let mut group = c.benchmark_group("fig1_search");
     group.bench_function("queue_construction", |b| {
         b.iter(|| remi.ranked_common_expressions(&targets))
@@ -30,20 +32,25 @@ fn bench(c: &mut Criterion) {
     group.bench_function("dfs_sequential", |b| {
         b.iter(|| {
             let eval = Evaluator::new(kb, 4096);
-            remi_search(&eval, &queue, &targets, None, true)
+            remi_search(&eval, &queue, &targets, &no_deadline, 1)
         })
     });
     group.bench_function("dfs_parallel_8", |b| {
         b.iter(|| {
             let eval = Evaluator::new(kb, 4096);
-            parallel_or_sequential(&eval, &queue, &targets, None, 8, true)
+            parallel_remi_search_on(
+                remi_pool::global(),
+                &eval,
+                &queue,
+                &targets,
+                &no_deadline,
+                8,
+            )
         })
     });
     group.finish();
 
     // Show the rebuilt queue head once, mirroring the figure.
-    let model = remi.model();
-    let _ = model;
     for (i, s) in queue.iter().take(3).enumerate() {
         println!(
             "  ρ{} ({:.1} bits): {}",

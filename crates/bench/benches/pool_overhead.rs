@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use remi_bench::dbpedia;
 use remi_core::eval::Evaluator;
 use remi_core::parallel::parallel_remi_search_on;
+use remi_core::search::Deadline;
 use remi_core::{Remi, RemiConfig};
 use remi_pool::{Executor, SpawnExecutor};
 
@@ -26,18 +27,19 @@ fn bench(c: &mut Criterion) {
     println!("\npool_overhead workload: {} queue entries", queue.len());
 
     let pool = remi_pool::global();
+    let no_deadline = Deadline::default();
     let mut group = c.benchmark_group("pool_overhead");
 
     group.bench_function("premi_pooled_8", |b| {
         b.iter(|| {
             let eval = Evaluator::new(kb, 4096);
-            parallel_remi_search_on(pool, &eval, &queue, &targets, None, 8)
+            parallel_remi_search_on(pool, &eval, &queue, &targets, &no_deadline, 8)
         })
     });
     group.bench_function("premi_spawn_8", |b| {
         b.iter(|| {
             let eval = Evaluator::new(kb, 4096);
-            parallel_remi_search_on(&SpawnExecutor, &eval, &queue, &targets, None, 8)
+            parallel_remi_search_on(&SpawnExecutor, &eval, &queue, &targets, &no_deadline, 8)
         })
     });
 

@@ -242,6 +242,7 @@ pub fn cmd_describe(path: &Path, iris: &[String], opts: &DescribeOpts) -> Result
                 remi_core::verbalize::verbalize(&kb, expr)
             );
             let _ = writeln!(out, "complexity:  {cost}");
+            let _ = writeln!(out, "status:      {}", outcome.status.as_str());
         }
         (None, SearchStatus::NoSolution) if opts.exceptions > 0 => {
             let (queue, _) = remi.ranked_common_expressions(&targets);
@@ -266,7 +267,7 @@ pub fn cmd_describe(path: &Path, iris: &[String], opts: &DescribeOpts) -> Result
             }
         }
         (None, status) => {
-            let _ = writeln!(out, "no referring expression found ({status:?})");
+            let _ = writeln!(out, "no referring expression found ({})", status.as_str());
         }
     }
     let _ = writeln!(
@@ -620,6 +621,11 @@ mod tests {
         .unwrap();
         assert!(
             out.contains("expression:") || out.contains("no referring expression"),
+            "{out}"
+        );
+        // Without a timeout an answer is final, and says so.
+        assert!(
+            !out.contains("expression:") || out.contains("status:      completed"),
             "{out}"
         );
         std::fs::remove_dir_all(&dir).ok();

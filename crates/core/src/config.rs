@@ -67,18 +67,17 @@ pub struct RemiConfig {
     /// LRU capacity for the binding-set cache (§3.5.2).
     pub cache_capacity: usize,
     /// Wall-clock timeout for one mining call (the paper uses 2 h per
-    /// set; experiments here use seconds).
+    /// set; experiments here use seconds). A call it cuts short returns
+    /// the best RE found so far with
+    /// [`SearchStatus::TimedOut`](crate::SearchStatus::TimedOut).
     pub timeout: Option<Duration>,
     /// Worker tasks for P-REMI (§3.4). `1` means sequential REMI. Values
-    /// above 1 run on the process-wide [`remi_pool::global`] executor, so
-    /// effective parallelism is additionally capped by the pool size
-    /// (`REMI_THREADS`, or the machine's available parallelism).
+    /// above 1 run [`Remi::describe`](crate::Remi::describe) as P-REMI on
+    /// the process-wide [`remi_pool::global`] executor, so effective
+    /// parallelism is additionally capped by the pool size (`REMI_THREADS`,
+    /// or the machine's available parallelism); queue scoring also uses
+    /// them. Top-k mining is always sequential.
     pub threads: usize,
-    /// Cut the root loop of Algorithm 1 as soon as the next root alone is
-    /// at least as complex as the incumbent solution (sound because costs
-    /// only grow along a branch; P-REMI applies the equivalent rule via
-    /// its shared-best backtracking). Disable for the ablation bench.
-    pub incumbent_root_cutoff: bool,
 }
 
 impl Default for RemiConfig {
@@ -90,7 +89,6 @@ impl Default for RemiConfig {
             cache_capacity: 16_384,
             timeout: None,
             threads: 1,
-            incumbent_root_cutoff: true,
         }
     }
 }
@@ -146,7 +144,6 @@ mod tests {
         assert_eq!(c.prominence, Prominence::Frequency);
         assert_eq!(c.entity_code, EntityCodeMode::PowerLaw);
         assert_eq!(c.threads, 1);
-        assert!(c.incumbent_root_cutoff);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::bits::Bits;
 use crate::complexity::CostModel;
 use crate::eval::Evaluator;
 use crate::expr::Expression;
-use crate::search::ScoredExpr;
+use crate::search::{sorted_targets, ScoredExpr};
 
 /// An expression plus the entities it wrongly includes.
 #[derive(Debug, Clone)]
@@ -52,9 +52,7 @@ pub fn describe_with_exceptions(
     targets: &[NodeId],
     max_exceptions: usize,
 ) -> Option<ExceptionRe> {
-    let mut sorted_targets: Vec<u32> = targets.iter().map(|t| t.0).collect();
-    sorted_targets.sort_unstable();
-    sorted_targets.dedup();
+    let sorted_targets = sorted_targets(targets);
 
     let mut best: Option<ExceptionRe> = None;
 
@@ -149,7 +147,7 @@ mod tests {
         let ctx = EnumContext::new(kb, &cfg);
         let (common, _) = common_subgraph_expressions(kb, targets, &cfg, &ctx);
         let model = CostModel::new(kb, Prominence::Frequency, EntityCodeMode::ExactRank);
-        let queue = build_queue(&model, &common);
+        let queue = build_queue(&model, &common, 1);
         (model, queue)
     }
 

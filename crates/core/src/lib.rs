@@ -16,8 +16,12 @@
 //! * [`expr`] — the Table 1 language of subgraph expressions.
 //! * [`enumerate`] — `subgraphs-expressions(t)` with the §3.5 pruning.
 //! * [`eval`] — binding-set evaluation with the §3.5.2 LRU cache.
-//! * [`search`] — Algorithms 1 (REMI) and 2 (DFS-REMI).
-//! * [`parallel`] — Algorithm 3 (P-REMI / P-DFS-REMI).
+//! * [`search`] — the one subtree DFS (Algorithm 2, and Algorithm 3's when
+//!   given P-REMI's bound) and the sequential root loop (Algorithm 1).
+//! * [`parallel`] — P-REMI (§3.4): root scheduling over the shared pool
+//!   and the shared incumbent.
+//! * [`topk`] — the k cheapest distinct REs, a wrapper over the sequential
+//!   root loop.
 //! * [`miner`] — the [`Remi`] facade.
 //! * [`verbalize`] — template-based natural-language rendering.
 //! * [`fullbrevity`] — Dale's full-brevity baseline (§5, [3]).
@@ -66,4 +70,4 @@ pub use config::{EnumerationConfig, LanguageBias, RemiConfig};
 pub use expr::{Expression, SubgraphExpr};
 pub use miner::{MiningOutcome, MiningStats, Remi};
 pub use search::{ScoredExpr, SearchStatus};
-pub use topk::{describe_top_k, RankedRe};
+pub use topk::describe_top_k;

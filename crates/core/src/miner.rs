@@ -11,7 +11,8 @@ use crate::config::RemiConfig;
 use crate::enumerate::{common_subgraph_expressions, EnumContext};
 use crate::eval::{EvalStats, Evaluator};
 use crate::expr::Expression;
-use crate::search::{build_queue_parallel, parallel_or_sequential, ScoredExpr, SearchStatus};
+use crate::parallel::parallel_remi_search_on;
+use crate::search::{build_queue, remi_search, Deadline, ScoredExpr, SearchStatus};
 
 /// Phase timings and counters of one mining call — the quantities §3.5.2
 /// and §4.2.2 report (queue-construction share, cache behaviour, timeouts).
@@ -102,7 +103,7 @@ impl<'kb> Remi<'kb> {
     pub fn ranked_common_expressions(&self, targets: &[NodeId]) -> (Vec<ScoredExpr>, bool) {
         let (common, stats) =
             common_subgraph_expressions(self.kb, targets, &self.config.enumeration, &self.ctx);
-        let queue = build_queue_parallel(&self.model, &common, self.config.threads);
+        let queue = build_queue(&self.model, &common, self.config.threads);
         (queue, stats.truncated)
     }
 
@@ -110,8 +111,7 @@ impl<'kb> Remi<'kb> {
     /// `config.threads > 1`).
     pub fn describe(&self, targets: &[NodeId]) -> MiningOutcome {
         assert!(!targets.is_empty(), "need at least one target entity");
-        // lint:allow(wallclock-in-mining): deadline enforcement for the opt-in timeout config — never affects scoring
-        let deadline = self.config.timeout.map(|t| Instant::now() + t);
+        let deadline = Deadline::after(self.config.timeout);
 
         // lint:allow(wallclock-in-mining): phase-duration instrumentation reported in MiningOutcome, not used in scoring
         let t0 = Instant::now();
@@ -121,14 +121,18 @@ impl<'kb> Remi<'kb> {
         let eval = Evaluator::new(self.kb, self.config.cache_capacity);
         // lint:allow(wallclock-in-mining): phase-duration instrumentation reported in MiningOutcome, not used in scoring
         let t1 = Instant::now();
-        let result = parallel_or_sequential(
-            &eval,
-            &queue,
-            targets,
-            deadline,
-            self.config.threads,
-            self.config.incumbent_root_cutoff,
-        );
+        let result = if self.config.threads > 1 {
+            parallel_remi_search_on(
+                remi_pool::global(),
+                &eval,
+                &queue,
+                targets,
+                &deadline,
+                self.config.threads,
+            )
+        } else {
+            remi_search(&eval, &queue, targets, &deadline, 1)
+        };
         let search_time = t1.elapsed();
         let EvalStats {
             cache_hits,
@@ -137,7 +141,7 @@ impl<'kb> Remi<'kb> {
         } = eval.stats();
 
         MiningOutcome {
-            best: result.best,
+            best: result.found.into_iter().next(),
             status: result.status,
             stats: MiningStats {
                 queue_size: queue.len(),

@@ -12,6 +12,11 @@
 //! 3. before testing an expression, a worker backtracks while the stack's
 //!    cost is at least the incumbent's (Alg. 3 line 6).
 //!
+//! Each subtree runs [`dfs_subtree`], the DFS sequential REMI runs too:
+//! rule 3 is its pruning bound, rule 2 is part of its stop test, and its
+//! finds go to the shared incumbent (rule 1). This module holds only the
+//! root scheduling and the shared state.
+//!
 //! Execution goes through the shared [`remi_pool`] executor: one
 //! process-wide thread pool instead of a `std::thread::scope` spawn per
 //! call, and workers claim *shards* of contiguous roots (instead of one
@@ -19,7 +24,6 @@
 //! over a batch.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -28,8 +32,10 @@ use remi_pool::{CancelToken, Executor, FloorToken};
 
 use crate::bits::Bits;
 use crate::eval::Evaluator;
-use crate::expr::{Expression, SubgraphExpr};
-use crate::search::{ScoredExpr, SearchCounters, SearchResult, SearchStatus};
+use crate::expr::Expression;
+use crate::search::{
+    dfs_subtree, sorted_targets, Deadline, ScoredExpr, SearchCounters, SearchResult, SearchStatus,
+};
 
 struct Shared {
     /// Incumbent expressions, striped per worker task: each worker
@@ -119,126 +125,6 @@ fn root_shard_size(queue_len: usize, tasks: usize) -> usize {
     (queue_len / (tasks.max(1) * 4)).clamp(1, 64)
 }
 
-/// Outcome of one P-DFS-REMI subtree exploration.
-struct SubtreeOutcome {
-    /// The subtree yielded at least one RE.
-    found: bool,
-    /// The exploration ran to genuine exhaustion: it was never cut short
-    /// by the incumbent, the stop floor, or the deadline. Only a complete,
-    /// solution-free exploration licenses the §3.4 stop signal — an
-    /// incumbent-pruned subtree may have skipped conjunctions whose
-    /// *constituents* are still cheap enough to seed later roots.
-    complete: bool,
-}
-
-/// Algorithm 3 — P-DFS-REMI for the subtree rooted at `queue[root]`.
-#[allow(clippy::too_many_arguments)]
-fn p_dfs_remi(
-    eval: &Evaluator<'_>,
-    queue: &[ScoredExpr],
-    root: usize,
-    sorted_targets: &[u32],
-    shared: &Shared,
-    stripe: usize,
-    deadline: Option<Instant>,
-    counters: &mut SearchCounters,
-) -> SubtreeOutcome {
-    let mut stack: Vec<usize> = Vec::new();
-    let mut stack_cost = Bits::ZERO;
-    let mut found_any = false;
-    let mut complete = true;
-
-    let mut i = root;
-    while i < queue.len() {
-        if let Some(d) = deadline {
-            // lint:allow(wallclock-in-mining): deadline enforcement for the opt-in timeout config — never affects scoring
-            if Instant::now() >= d {
-                shared.timed_out.cancel();
-                return SubtreeOutcome {
-                    found: found_any,
-                    complete: false,
-                };
-            }
-        }
-        // §3.4 rule 2: a lower root found no solution — this subtree is
-        // superfluous.
-        if shared.no_solution_floor.is_cancelled(root) {
-            return SubtreeOutcome {
-                found: found_any,
-                complete: false,
-            };
-        }
-
-        // Line 4–5: dequeue ρ′ and push.
-        stack.push(i);
-        stack_cost = stack_cost + queue[i].cost;
-        counters.nodes_visited += 1;
-
-        // Line 6: backtrack while the stack is at least as complex as the
-        // shared incumbent. (The paper's S contains ⊤ as an element, so its
-        // `|S| > 1` is our "stack non-empty".)
-        let incumbent = shared.best_cost();
-        let mut pruned = false;
-        while !stack.is_empty() && stack_cost >= incumbent {
-            stack.pop();
-            stack_cost = sum_cost(queue, &stack);
-            pruned = true;
-        }
-        if pruned {
-            complete = false;
-        }
-        // Line 7: backtracked to the root node ⊤ — no better solution can
-        // appear under this subtree.
-        if stack.is_empty() {
-            return SubtreeOutcome {
-                found: found_any,
-                complete,
-            };
-        }
-        // Line 8: only proceed when the stack still ends with ρ′ (i.e. the
-        // pruning loop did not remove the freshly pushed expression).
-        if !pruned {
-            let parts: Vec<SubgraphExpr> = stack.iter().map(|&k| queue[k].expr).collect();
-            if eval.is_referring_expression(&parts, sorted_targets) {
-                found_any = true;
-                // Line 11: update the shared best.
-                shared.offer(stripe, Expression { parts }, stack_cost);
-                // Lines 12–13: pruning by depth + side pruning.
-                stack.pop();
-                stack.pop();
-                stack_cost = sum_cost(queue, &stack);
-                // Line 14: backtracked past the root — done.
-                if stack.is_empty() {
-                    return SubtreeOutcome {
-                        found: found_any,
-                        complete,
-                    };
-                }
-            }
-        }
-        i += 1;
-    }
-    SubtreeOutcome {
-        found: found_any,
-        complete,
-    }
-}
-
-fn sum_cost(queue: &[ScoredExpr], stack: &[usize]) -> Bits {
-    stack.iter().map(|&k| queue[k].cost).sum()
-}
-
-/// P-REMI (§3.4) on the process-wide [`remi_pool::global`] executor.
-pub fn parallel_remi_search(
-    eval: &Evaluator<'_>,
-    queue: &[ScoredExpr],
-    targets: &[NodeId],
-    deadline: Option<Instant>,
-    threads: usize,
-) -> SearchResult {
-    parallel_remi_search_on(remi_pool::global(), eval, queue, targets, deadline, threads)
-}
-
 /// P-REMI (§3.4): Algorithm 1 with the root loop executed by `threads`
 /// worker tasks over a shared queue, incumbent, and stop signal, on an
 /// explicit [`Executor`]. Exposed so benchmarks and differential tests can
@@ -249,12 +135,10 @@ pub fn parallel_remi_search_on(
     eval: &Evaluator<'_>,
     queue: &[ScoredExpr],
     targets: &[NodeId],
-    deadline: Option<Instant>,
+    deadline: &Deadline,
     threads: usize,
 ) -> SearchResult {
-    let mut sorted_targets: Vec<u32> = targets.iter().map(|t| t.0).collect();
-    sorted_targets.sort_unstable();
-    sorted_targets.dedup();
+    let sorted_targets = sorted_targets(targets);
 
     let tasks = threads.max(1).min(queue.len().max(1));
     let shared = Shared::new(tasks);
@@ -277,12 +161,9 @@ pub fn parallel_remi_search_on(
                 if shared.no_solution_floor.is_cancelled(root) {
                     break 'claims;
                 }
-                if let Some(d) = deadline {
-                    // lint:allow(wallclock-in-mining): deadline enforcement for the opt-in timeout config — never affects scoring
-                    if Instant::now() >= d {
-                        shared.timed_out.cancel();
-                        break 'claims;
-                    }
+                if deadline.passed() {
+                    shared.timed_out.cancel();
+                    break 'claims;
                 }
                 // Root-level incumbent cutoff (the parallel counterpart
                 // of Alg. 3 line 6 applied at depth one); the queue is
@@ -290,15 +171,24 @@ pub fn parallel_remi_search_on(
                 if queue[root].cost >= shared.best_cost() {
                     break 'claims;
                 }
-                let outcome = p_dfs_remi(
+                // Alg. 3: the subtree DFS pruned by the shared incumbent,
+                // stopped by the deadline or by §3.4 rule 2 (a lower root
+                // found no solution, so this subtree is superfluous).
+                let outcome = dfs_subtree(
                     eval,
                     queue,
                     root,
                     &sorted_targets,
-                    &shared,
-                    worker,
-                    deadline,
                     &mut counters,
+                    || Some(shared.best_cost()),
+                    || {
+                        if deadline.passed() {
+                            shared.timed_out.cancel();
+                            return true;
+                        }
+                        shared.no_solution_floor.is_cancelled(root)
+                    },
+                    |expr, cost| shared.offer(worker, expr, cost),
                 );
                 counters.roots_explored += 1;
                 if !outcome.found && outcome.complete {
@@ -316,17 +206,17 @@ pub fn parallel_remi_search_on(
         total.roots_explored += counters.roots_explored;
     });
 
-    let best = shared.take_best();
-    let status = if shared.timed_out.is_cancelled() && best.is_none() {
+    let found: Vec<(Expression, Bits)> = shared.take_best().into_iter().collect();
+    let status = if shared.timed_out.is_cancelled() {
         SearchStatus::TimedOut
-    } else if best.is_some() {
-        SearchStatus::Completed
-    } else {
+    } else if found.is_empty() {
         SearchStatus::NoSolution
+    } else {
+        SearchStatus::Completed
     };
     let counters = *counters_total.lock();
     SearchResult {
-        best,
+        found,
         status,
         counters,
     }
@@ -342,6 +232,7 @@ mod tests {
     use proptest::prelude::*;
     use remi_kb::{KbBuilder, KnowledgeBase};
     use remi_pool::SpawnExecutor;
+    use std::time::Duration;
 
     fn rennes_kb() -> KnowledgeBase {
         let mut b = KbBuilder::new();
@@ -373,8 +264,25 @@ mod tests {
             .collect();
         let (common, _) = common_subgraph_expressions(kb, &ids, &cfg, &ctx);
         let model = CostModel::new(kb, Prominence::Frequency, EntityCodeMode::ExactRank);
-        let queue = build_queue(&model, &common);
+        let queue = build_queue(&model, &common, 1);
         (queue, ids, model)
+    }
+
+    /// P-REMI on the shared pool, with no deadline.
+    fn premi(
+        eval: &Evaluator<'_>,
+        queue: &[ScoredExpr],
+        ids: &[remi_kb::NodeId],
+        threads: usize,
+    ) -> SearchResult {
+        parallel_remi_search_on(
+            remi_pool::global(),
+            eval,
+            queue,
+            ids,
+            &Deadline::default(),
+            threads,
+        )
     }
 
     #[test]
@@ -382,14 +290,14 @@ mod tests {
         let kb = rennes_kb();
         let (queue, ids, _model) = setup(&kb, &["e:Rennes", "e:Nantes"]);
         let eval = Evaluator::new(&kb, 1024);
-        let seq = remi_search(&eval, &queue, &ids, None, true);
+        let seq = remi_search(&eval, &queue, &ids, &Deadline::default(), 1);
         for threads in [1, 2, 4, 8] {
             let eval_p = Evaluator::new(&kb, 1024);
-            let par = parallel_remi_search(&eval_p, &queue, &ids, None, threads);
+            let par = premi(&eval_p, &queue, &ids, threads);
             assert_eq!(par.status, SearchStatus::Completed, "threads={threads}");
             assert_eq!(
-                par.best.as_ref().map(|(_, c)| *c),
-                seq.best.as_ref().map(|(_, c)| *c),
+                par.found.first().map(|(_, c)| *c),
+                seq.found.first().map(|(_, c)| *c),
                 "threads={threads}"
             );
         }
@@ -400,8 +308,8 @@ mod tests {
         let kb = rennes_kb();
         let (queue, ids, _) = setup(&kb, &["e:Rennes", "e:Nantes"]);
         let eval = Evaluator::new(&kb, 1024);
-        let par = parallel_remi_search(&eval, &queue, &ids, None, 4);
-        let (expr, _) = par.best.expect("solution exists");
+        let par = premi(&eval, &queue, &ids, 4);
+        let (expr, _) = par.found.into_iter().next().expect("solution exists");
         let mut t: Vec<u32> = ids.iter().map(|n| n.0).collect();
         t.sort_unstable();
         let check = Evaluator::new(&kb, 16);
@@ -416,9 +324,9 @@ mod tests {
         let kb = b.build().unwrap();
         let (queue, ids, _) = setup(&kb, &["e:twin1"]);
         let eval = Evaluator::new(&kb, 64);
-        let par = parallel_remi_search(&eval, &queue, &ids, None, 4);
+        let par = premi(&eval, &queue, &ids, 4);
         assert_eq!(par.status, SearchStatus::NoSolution);
-        assert!(par.best.is_none());
+        assert!(par.found.is_empty());
     }
 
     /// §3.4 rule 2 under sharded root batches: with one worker task the
@@ -438,7 +346,7 @@ mod tests {
         let (queue, ids, _) = setup(&kb, &["e:twin1"]);
         assert!(queue.len() > 1, "need multiple roots, got {}", queue.len());
         let eval = Evaluator::new(&kb, 64);
-        let par = parallel_remi_search(&eval, &queue, &ids, None, 1);
+        let par = premi(&eval, &queue, &ids, 1);
         assert_eq!(par.status, SearchStatus::NoSolution);
         assert_eq!(
             par.counters.roots_explored, 1,
@@ -451,7 +359,7 @@ mod tests {
         let kb = rennes_kb();
         let eval = Evaluator::new(&kb, 16);
         let rennes = kb.node_id_by_iri("e:Rennes").unwrap();
-        let par = parallel_remi_search(&eval, &[], &[rennes], None, 4);
+        let par = premi(&eval, &[], &[rennes], 4);
         assert_eq!(par.status, SearchStatus::NoSolution);
     }
 
@@ -460,8 +368,8 @@ mod tests {
         let kb = rennes_kb();
         let (queue, ids, _) = setup(&kb, &["e:Rennes", "e:Nantes"]);
         let eval = Evaluator::new(&kb, 16);
-        let past = Instant::now() - std::time::Duration::from_secs(1);
-        let par = parallel_remi_search(&eval, &queue, &ids, Some(past), 2);
+        let past = Deadline::after(Some(Duration::ZERO));
+        let par = parallel_remi_search_on(remi_pool::global(), &eval, &queue, &ids, &past, 2);
         assert_eq!(par.status, SearchStatus::TimedOut);
     }
 
@@ -470,8 +378,8 @@ mod tests {
         let kb = rennes_kb();
         let (queue, ids, _) = setup(&kb, &["e:Rennes", "e:Nantes"]);
         let eval = Evaluator::new(&kb, 64);
-        let par = parallel_remi_search(&eval, &queue, &ids, None, 64);
-        assert!(par.best.is_some());
+        let par = premi(&eval, &queue, &ids, 64);
+        assert!(!par.found.is_empty());
     }
 
     /// Determinism of *cost*: thread interleaving may change which of
@@ -483,8 +391,8 @@ mod tests {
         let mut costs = Vec::new();
         for _ in 0..10 {
             let eval = Evaluator::new(&kb, 256);
-            let par = parallel_remi_search(&eval, &queue, &ids, None, 4);
-            costs.push(par.best.map(|(_, c)| c));
+            let par = premi(&eval, &queue, &ids, 4);
+            costs.push(par.found.first().map(|(_, c)| *c));
         }
         assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
     }
@@ -564,14 +472,14 @@ mod tests {
             let (queue, ids, _) = setup(&kb, &targets);
             let eval_pool = Evaluator::new(&kb, 256);
             let pooled = parallel_remi_search_on(
-                remi_pool::global(), &eval_pool, &queue, &ids, None, threads);
+                remi_pool::global(), &eval_pool, &queue, &ids, &Deadline::default(), threads);
             let eval_spawn = Evaluator::new(&kb, 256);
             let spawned = parallel_remi_search_on(
-                &SpawnExecutor, &eval_spawn, &queue, &ids, None, threads);
+                &SpawnExecutor, &eval_spawn, &queue, &ids, &Deadline::default(), threads);
             prop_assert_eq!(pooled.status, spawned.status);
             prop_assert_eq!(
-                pooled.best.map(|(_, c)| c),
-                spawned.best.map(|(_, c)| c)
+                pooled.found.first().map(|(_, c)| *c),
+                spawned.found.first().map(|(_, c)| *c)
             );
         }
     }

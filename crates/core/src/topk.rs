@@ -1,84 +1,33 @@
 //! Top-k mining: the k least-complex *distinct* referring expressions.
 //!
 //! Algorithm 1 returns one RE; applications like the §4.1.2 study (and any
-//! UI offering alternatives) want several. This module harvests the
-//! per-root results of DFS-REMI: each subtree rooted at a queue element
-//! yields its best RE, and the roots are cut off exactly when they can no
-//! longer contribute (root cost ≥ the incumbent best) — so the cheapest
-//! returned RE matches [`Remi::describe`](crate::Remi::describe) in cost.
-
-use std::time::Instant;
+//! UI offering alternatives) want several. [`remi_search`] harvests the
+//! best RE of each DFS subtree and cuts the root loop exactly when no
+//! later root can contribute, so the cheapest returned RE matches
+//! [`Remi::describe`](crate::Remi::describe) in cost.
 
 use remi_kb::NodeId;
 
-use crate::bits::Bits;
 use crate::eval::Evaluator;
-use crate::expr::Expression;
 use crate::miner::Remi;
-use crate::search::{dfs_remi, SearchCounters};
+use crate::search::{remi_search, Deadline, SearchResult};
 
-/// A scored referring expression.
-#[derive(Debug, Clone)]
-pub struct RankedRe {
-    /// The expression.
-    pub expr: Expression,
-    /// Its `Ĉ`.
-    pub cost: Bits,
-}
-
-/// Mines up to `k` distinct REs for `targets`, cheapest first.
+/// Mines up to `k` distinct REs for `targets`, cheapest first, with
+/// sequential REMI under `remi`'s configuration (its timeout included).
 ///
-/// The first element (when any exists) has the same cost as the single
-/// answer of [`Remi::describe`]. Later elements are the best REs of other
-/// DFS subtrees — the "other REs encountered during search space
-/// traversal" of the paper's §4.1.2 protocol.
-pub fn describe_top_k(remi: &Remi<'_>, targets: &[NodeId], k: usize) -> Vec<RankedRe> {
-    assert!(k >= 1, "k must be at least 1");
+/// The first RE (when any exists) has the same cost as the single answer
+/// of [`Remi::describe`]. Later ones are the best REs of other DFS
+/// subtrees — the "other REs encountered during search space traversal"
+/// of the paper's §4.1.2 protocol.
+///
+/// # Panics
+///
+/// Panics when `k` is zero.
+pub fn describe_top_k(remi: &Remi<'_>, targets: &[NodeId], k: usize) -> SearchResult {
     let (queue, _) = remi.ranked_common_expressions(targets);
     let eval = Evaluator::new(remi.kb(), remi.config().cache_capacity);
-    // lint:allow(wallclock-in-mining): deadline enforcement for the opt-in timeout config — never affects scoring
-    let deadline = remi.config().timeout.map(|t| Instant::now() + t);
-
-    let mut sorted_targets: Vec<u32> = targets.iter().map(|t| t.0).collect();
-    sorted_targets.sort_unstable();
-    sorted_targets.dedup();
-
-    let mut found: Vec<RankedRe> = Vec::new();
-    let mut min_cost = Bits::INFINITY;
-    let mut counters = SearchCounters::default();
-
-    for root in 0..queue.len() {
-        if let Some(d) = deadline {
-            // lint:allow(wallclock-in-mining): deadline enforcement for the opt-in timeout config — never affects scoring
-            if Instant::now() >= d {
-                break;
-            }
-        }
-        // Sound cutoff: roots at or above the incumbent cannot improve the
-        // minimum; once k alternatives exist, stop there.
-        if queue[root].cost >= min_cost && found.len() >= k {
-            break;
-        }
-        if let Some((expr, cost)) = dfs_remi(
-            &eval,
-            &queue,
-            root,
-            &sorted_targets,
-            deadline,
-            &mut counters,
-        ) {
-            if found.iter().any(|r| r.expr == expr) {
-                continue;
-            }
-            if cost < min_cost {
-                min_cost = cost;
-            }
-            found.push(RankedRe { expr, cost });
-        }
-    }
-    found.sort_by_key(|re| re.cost);
-    found.truncate(k);
-    found
+    let deadline = Deadline::after(remi.config().timeout);
+    remi_search(&eval, &queue, targets, &deadline, k)
 }
 
 #[cfg(test)]
@@ -125,9 +74,9 @@ mod tests {
             kb.node_id_by_iri("e:Nantes").unwrap(),
         ];
         let single = remi.describe(&targets);
-        let top = describe_top_k(&remi, &targets, 3);
+        let top = describe_top_k(&remi, &targets, 3).found;
         assert!(!top.is_empty());
-        assert_eq!(Some(top[0].cost), single.cost());
+        assert_eq!(Some(top[0].1), single.cost());
     }
 
     #[test]
@@ -138,17 +87,17 @@ mod tests {
             kb.node_id_by_iri("e:Rennes").unwrap(),
             kb.node_id_by_iri("e:Nantes").unwrap(),
         ];
-        let top = describe_top_k(&remi, &targets, 5);
+        let top = describe_top_k(&remi, &targets, 5).found;
         assert!(top.len() >= 2, "multiple distinct REs exist");
         let eval = Evaluator::new(&kb, 64);
         let mut t: Vec<u32> = targets.iter().map(|n| n.0).collect();
         t.sort_unstable();
         for w in top.windows(2) {
-            assert!(w[0].cost <= w[1].cost);
-            assert_ne!(w[0].expr, w[1].expr);
+            assert!(w[0].1 <= w[1].1);
+            assert_ne!(w[0].0, w[1].0);
         }
-        for r in &top {
-            assert!(eval.is_referring_expression(&r.expr.parts, &t));
+        for (expr, _) in &top {
+            assert!(eval.is_referring_expression(&expr.parts, &t));
         }
     }
 
@@ -160,7 +109,7 @@ mod tests {
             kb.node_id_by_iri("e:Rennes").unwrap(),
             kb.node_id_by_iri("e:Nantes").unwrap(),
         ];
-        let top = describe_top_k(&remi, &targets, 1);
+        let top = describe_top_k(&remi, &targets, 1).found;
         assert_eq!(top.len(), 1);
     }
 
@@ -172,6 +121,6 @@ mod tests {
         let kb = b.build().unwrap();
         let remi = remi(&kb);
         let t1 = kb.node_id_by_iri("e:t1").unwrap();
-        assert!(describe_top_k(&remi, &[t1], 3).is_empty());
+        assert!(describe_top_k(&remi, &[t1], 3).found.is_empty());
     }
 }

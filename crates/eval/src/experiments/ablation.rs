@@ -5,7 +5,6 @@
 //! Knobs ablated:
 //! * the §3.5.2 prominent-object pruning (on/off) — queue size and time;
 //! * the LRU binding cache (on/off) — RE-test cache hit rate and time;
-//! * the incumbent root cutoff (on/off) — roots explored;
 //! * P-REMI threads (1/2/8) — wall time.
 
 use std::fmt;
@@ -57,9 +56,8 @@ pub fn run(synth: &SynthKb, classes: &[&str], n_sets: usize, seed: u64) -> Ablat
         seed,
     );
 
-    // Every variant gets a per-set timeout: the `no_root_cutoff` variant
-    // deliberately disables the optimisation that keeps the root loop
-    // sub-quadratic, and unbounded it can take minutes on large queues.
+    // Every variant gets a per-set timeout: without the prominent-object
+    // pruning the queue grows ~20×, and unbounded a set can take minutes.
     let base = || RemiConfig::default().with_timeout(Duration::from_millis(500));
     let variants: Vec<(String, RemiConfig)> = vec![
         variant("baseline", base()),
@@ -77,13 +75,6 @@ pub fn run(synth: &SynthKb, classes: &[&str], n_sets: usize, seed: u64) -> Ablat
             "cache_off",
             RemiConfig {
                 cache_capacity: 1,
-                ..base()
-            },
-        ),
-        variant(
-            "no_root_cutoff",
-            RemiConfig {
-                incumbent_root_cutoff: false,
                 ..base()
             },
         ),
@@ -159,7 +150,7 @@ mod tests {
     fn ablations_report_plausible_solution_counts() {
         let synth = test_worlds::dbpedia();
         let result = run(&synth, &["Person", "Settlement"], 15, 3);
-        assert_eq!(result.rows.len(), 6);
+        assert_eq!(result.rows.len(), 5);
         // Variants change speed, and under the per-set timeout a slower
         // variant may fail to finish some sets (that is the point of the
         // ablation — e.g. disabling the prominent-object pruning blows up

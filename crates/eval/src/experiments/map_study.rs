@@ -42,8 +42,9 @@ pub const PAPER_FR_PREFERENCE: f64 = 0.59;
 /// paper's protocol. Thin wrapper over [`remi_core::describe_top_k`].
 pub fn alternative_res(remi: &Remi<'_>, targets: &[remi_kb::NodeId], k: usize) -> Vec<Expression> {
     remi_core::describe_top_k(remi, targets, k)
+        .found
         .into_iter()
-        .map(|r| r.expr)
+        .map(|(expr, _)| expr)
         .collect()
 }
 

@@ -226,52 +226,24 @@ fn mining_config(threads: usize) -> RemiConfig {
 fn describe_body_with(remi: &Remi<'_>, iri: &str, k: usize) -> Result<String, ApiError> {
     let kb = remi.kb();
     let target = resolve(kb, iri)?;
-    let (results, status): (Vec<String>, &str) = if k == 1 {
+    let (found, status) = if k == 1 {
         let outcome = remi.describe(&[target]);
-        let status = match outcome.status {
-            remi_core::SearchStatus::Completed => "completed",
-            remi_core::SearchStatus::TimedOut => "timed-out",
-            remi_core::SearchStatus::NoSolution => "no-solution",
-        };
-        (
-            outcome
-                .best
-                .iter()
-                .map(|(expr, cost)| {
-                    JsonObject::new()
-                        .field_str("expression", &expr.display(kb).to_string())
-                        .field_str("verbalised", &remi_core::verbalize::verbalize(kb, expr))
-                        .field_str("complexity", &cost.to_string())
-                        .finish()
-                })
-                .collect(),
-            status,
-        )
+        (outcome.best.into_iter().collect(), outcome.status)
     } else {
-        let ranked = describe_top_k(remi, &[target], k);
-        let status = if ranked.is_empty() {
-            "no-solution"
-        } else {
-            "completed"
-        };
-        (
-            ranked
-                .iter()
-                .map(|re| {
-                    JsonObject::new()
-                        .field_str("expression", &re.expr.display(kb).to_string())
-                        .field_str("verbalised", &remi_core::verbalize::verbalize(kb, &re.expr))
-                        .field_str("complexity", &re.cost.to_string())
-                        .finish()
-                })
-                .collect(),
-            status,
-        )
+        let top = describe_top_k(remi, &[target], k);
+        (top.found, top.status)
     };
+    let results = found.iter().map(|(expr, cost)| {
+        JsonObject::new()
+            .field_str("expression", &expr.display(kb).to_string())
+            .field_str("verbalised", &remi_core::verbalize::verbalize(kb, expr))
+            .field_str("complexity", &cost.to_string())
+            .finish()
+    });
     Ok(JsonObject::new()
         .field_str("entity", iri)
         .field_u64("k", k as u64)
-        .field_str("status", status)
+        .field_str("status", status.as_str())
         .field_raw("results", &json::array_raw(results))
         .finish())
 }
