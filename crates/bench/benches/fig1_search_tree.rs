@@ -1,6 +1,9 @@
 //! Figure 1 — the DFS over conjunctions: pruning-by-depth and side
 //! pruning exercised on a Rennes/Nantes-style workload: queue
-//! construction, sequential REMI and 8-task P-REMI.
+//! construction, sequential REMI and 8-task P-REMI. A hub entity (the
+//! most prominent country, the `describe-cold` hub case) adds 2-task
+//! P-REMI over a queue of ~10k expressions, where most subtrees end in a
+//! bound prune.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use remi_bench::dbpedia;
@@ -24,6 +27,13 @@ fn bench(c: &mut Criterion) {
         queue.len()
     );
 
+    let hub = [synth.members("Country")[0]];
+    let (hub_queue, _) = remi.ranked_common_expressions(&hub);
+    println!(
+        "hub workload: {} common subgraph expressions",
+        hub_queue.len()
+    );
+
     let no_deadline = Deadline::default();
     let mut group = c.benchmark_group("fig1_search");
     group.bench_function("queue_construction", |b| {
@@ -45,6 +55,19 @@ fn bench(c: &mut Criterion) {
                 &targets,
                 &no_deadline,
                 8,
+            )
+        })
+    });
+    group.bench_function("dfs_parallel_hub", |b| {
+        b.iter(|| {
+            let eval = Evaluator::new(kb, 4096);
+            parallel_remi_search_on(
+                remi_pool::global(),
+                &eval,
+                &hub_queue,
+                &hub,
+                &no_deadline,
+                2,
             )
         })
     });

@@ -4,7 +4,13 @@
 //! The RE test of Algorithms 1–3 — `e′(K) = T` — reduces to computing the
 //! sorted binding set of each conjunct and intersecting. Binding sets of
 //! individual subgraph expressions are memoised in the §3.5.2 LRU cache,
-//! because the DFS re-evaluates the same conjuncts along many branches.
+//! because the DFS meets the same conjuncts along many branches.
+//!
+//! The search does not re-intersect a whole conjunction per test: it keeps
+//! the bindings of every stack prefix and intersects only the pushed
+//! conjunct ([`intersect_sorted_into`]; see [`crate::search`]).
+//! [`Evaluator::is_referring_expression`] is the full check from scratch
+//! for callers outside the search.
 
 use std::sync::Arc;
 
@@ -15,24 +21,31 @@ use remi_kb::{Bindings, KnowledgeBase, NodeId};
 
 use crate::expr::SubgraphExpr;
 
+/// Intersects two sorted id slices into `out`, replacing its contents and
+/// keeping its allocation — the kernel the search's prefix stack reuses.
+pub fn intersect_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
 /// Intersects two sorted id lists (slices or backend [`Bindings`]).
 pub fn intersect_sorted<'a>(a: impl Into<Bindings<'a>>, b: impl Into<Bindings<'a>>) -> Vec<u32> {
     let (a, b) = (a.into(), b.into());
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     if let (Bindings::Slice(a), Bindings::Slice(b)) = (a, b) {
         // Fast path for the CSR backend: direct slice indexing.
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        intersect_sorted_into(a, b, &mut out);
         return out;
     }
     let (mut ai, mut bi) = (a.iter(), b.iter());
@@ -131,15 +144,12 @@ pub struct EvalStats {
     pub cache_hits: u64,
     /// Cache misses (i.e. fresh evaluations).
     pub cache_misses: u64,
-    /// Number of `e′(K) = T` referring-expression tests executed.
-    pub re_tests: u64,
 }
 
 /// A caching evaluator shared by the (possibly parallel) search.
 pub struct Evaluator<'kb> {
     kb: &'kb KnowledgeBase,
     cache: Mutex<LruCache<SubgraphExpr, Arc<Vec<u32>>>>,
-    re_tests: std::sync::atomic::AtomicU64,
 }
 
 impl<'kb> Evaluator<'kb> {
@@ -148,7 +158,6 @@ impl<'kb> Evaluator<'kb> {
         Evaluator {
             kb,
             cache: Mutex::new(LruCache::new(cache_capacity)),
-            re_tests: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -192,13 +201,11 @@ impl<'kb> Evaluator<'kb> {
     /// The RE test `e′(K) = T`: do the bindings of the conjunction equal
     /// exactly the (sorted) target set?
     ///
-    /// During search every conjunct matches every target by construction,
-    /// so bindings ⊇ targets; testing the cardinality would suffice there.
-    /// This method performs the full equality check so it is also correct
-    /// for arbitrary expressions (e.g. in tests and the AMIE bridge).
+    /// This intersects every conjunct from scratch, so it is correct for
+    /// arbitrary expressions: answer checks, the full-brevity baseline,
+    /// the examples and tests. The search does not call it; it
+    /// tests each push against its cached prefix bindings instead.
     pub fn is_referring_expression(&self, parts: &[SubgraphExpr], sorted_targets: &[u32]) -> bool {
-        self.re_tests
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if parts.is_empty() {
             return false; // ⊤ matches everything, never an RE
         }
@@ -212,7 +219,6 @@ impl<'kb> Evaluator<'kb> {
         EvalStats {
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            re_tests: self.re_tests.load(std::sync::atomic::Ordering::Relaxed),
         }
     }
 }

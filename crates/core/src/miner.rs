@@ -30,7 +30,9 @@ pub struct MiningStats {
     pub nodes_visited: u64,
     /// RE tests executed.
     pub re_tests: u64,
-    /// Binding-cache hits.
+    /// Binding-cache hits. The search looks up one list per tested push
+    /// (the pushed conjunct's), so this counts tested pushes whose list
+    /// was already cached.
     pub cache_hits: u64,
     /// Binding-cache misses.
     pub cache_misses: u64,
@@ -137,7 +139,6 @@ impl<'kb> Remi<'kb> {
         let EvalStats {
             cache_hits,
             cache_misses,
-            re_tests,
         } = eval.stats();
 
         MiningOutcome {
@@ -149,7 +150,7 @@ impl<'kb> Remi<'kb> {
                 queue_time,
                 search_time,
                 nodes_visited: result.counters.nodes_visited,
-                re_tests,
+                re_tests: result.counters.re_tests,
                 cache_hits,
                 cache_misses,
             },

@@ -203,6 +203,7 @@ pub fn parallel_remi_search_on(
         }
         let mut total = counters_total.lock();
         total.nodes_visited += counters.nodes_visited;
+        total.re_tests += counters.re_tests;
         total.roots_explored += counters.roots_explored;
     });
 

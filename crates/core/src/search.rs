@@ -10,6 +10,14 @@
 //! [`dfs_subtree`] is the only DFS. Sequential REMI ([`remi_search`]) runs it
 //! with no pruning bound and a subtree-local best; P-REMI runs it against the
 //! shared incumbent.
+//!
+//! The DFS keeps, beside its stack, the bindings of every stack prefix
+//! (§3.5.2 caches binding sets because the search keeps meeting the same
+//! conjuncts). A tested push costs one intersection — the parent prefix's
+//! bindings with the pushed conjunct's cached list — and an exact
+//! comparison with the targets; a push the bound prunes costs none. Under a
+//! bound that never rises, a prune that pops only the pushed node ends the
+//! subtree: every later index at that prefix would be pruned too.
 
 use std::time::{Duration, Instant};
 
@@ -18,7 +26,7 @@ use remi_kb::NodeId;
 
 use crate::bits::Bits;
 use crate::complexity::CostModel;
-use crate::eval::Evaluator;
+use crate::eval::{intersect_sorted_into, Evaluator};
 use crate::expr::{Expression, SubgraphExpr};
 
 /// A subgraph expression with its precomputed cost.
@@ -106,6 +114,8 @@ impl Deadline {
 pub struct SearchCounters {
     /// Search-tree nodes visited (conjunctions pushed).
     pub nodes_visited: u64,
+    /// `e′(K) = T` tests run: one per push that the bound did not prune.
+    pub re_tests: u64,
     /// Subtree roots explored.
     pub roots_explored: u64,
 }
@@ -206,6 +216,10 @@ pub(crate) fn dfs_subtree(
     // everything after it.
     let mut stack: Vec<usize> = Vec::new();
     let mut stack_cost = Bits::ZERO;
+    // prefix[d] holds the bindings of stack[..=d]. Only the first
+    // stack.len() entries are live: popping the stack truncates them, and
+    // the entries past it are buffers the next pushes reuse.
+    let mut prefix: Vec<Vec<u32>> = Vec::new();
     let mut outcome = SubtreeOutcome {
         found: false,
         complete: true,
@@ -227,6 +241,7 @@ pub(crate) fn dfs_subtree(
         if let Some(bound) = bound() {
             if stack_cost >= bound {
                 outcome.complete = false;
+                let parent_len = stack.len() - 1;
                 while !stack.is_empty() && stack_cost >= bound {
                     stack.pop();
                     stack_cost = stack.iter().map(|&k| queue[k].cost).sum();
@@ -235,14 +250,38 @@ pub(crate) fn dfs_subtree(
                 if stack.is_empty() {
                     return outcome;
                 }
+                // Only ρ′ was popped. Every later index costs at least as
+                // much as ρ′ (the queue is sorted) and the bound never
+                // rises, so every later push onto this prefix is pruned
+                // too: the subtree is done. (When a concurrent incumbent
+                // drop also popped the parent, the walk goes on.)
+                if stack.len() == parent_len {
+                    return outcome;
+                }
                 continue;
             }
         }
 
-        // e′ := ∧ S; test e′(K) = T.
-        let parts: Vec<SubgraphExpr> = stack.iter().map(|&k| queue[k].expr).collect();
-        if eval.is_referring_expression(&parts, sorted_targets) {
+        // e′ := ∧ S; test e′(K) = T with one intersection: the parent
+        // prefix's bindings with ρ′'s cached list.
+        let depth = stack.len() - 1;
+        if prefix.len() == depth {
+            prefix.push(Vec::new());
+        }
+        let (parents, rest) = prefix.split_at_mut(depth);
+        let bindings = &mut rest[0];
+        let conjunct = eval.bindings(&queue[i].expr);
+        match parents.last() {
+            Some(parent) => intersect_sorted_into(parent, &conjunct, bindings),
+            None => {
+                bindings.clear();
+                bindings.extend_from_slice(&conjunct);
+            }
+        }
+        counters.re_tests += 1;
+        if bindings[..] == *sorted_targets {
             outcome.found = true;
+            let parts = stack.iter().map(|&k| queue[k].expr).collect();
             found(Expression { parts }, stack_cost);
             // Pruning by depth, then side pruning.
             stack.pop();
@@ -341,6 +380,9 @@ pub fn remi_search(
         counters,
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
