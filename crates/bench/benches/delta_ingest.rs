@@ -231,7 +231,7 @@ fn bench(c: &mut Criterion) {
                 tag % 97,
                 tag % 31,
             );
-            let r = client.post("/ingest", &body).expect("ingest");
+            let r = client.post("/v1/ingest", &body).expect("ingest");
             assert_eq!(r.status, 200, "{}", r.body);
             r.body.len()
         });
@@ -243,7 +243,7 @@ fn bench(c: &mut Criterion) {
     let n = 200usize;
     for tag in 0..n as u64 {
         let body = format!("<e:smoke_{tag}> <p:loadIngested> <e:smokeBatch> .\n");
-        let r = client.post("/ingest", &body).expect("ingest");
+        let r = client.post("/v1/ingest", &body).expect("ingest");
         assert_eq!(r.status, 200);
     }
     println!(

@@ -35,7 +35,7 @@ fn throughput(client: &mut Client, target: &str, requests: usize) -> f64 {
 fn bench(c: &mut Criterion) {
     let synth = dbpedia();
     let entity = synth.kb.node_key(synth.members("Person")[0]).to_string();
-    let target = format!("/describe/{}", percent_encode(&entity));
+    let target = format!("/v1/describe/{}", percent_encode(&entity));
 
     let mut warm_server =
         serve(synth.kb.clone(), ServeConfig::default()).expect("warm server boots");
@@ -58,7 +58,7 @@ fn bench(c: &mut Criterion) {
         p = remi_serve::json::escape(&pred)
     );
     let primed = warm_client
-        .post("/query", &query_payload)
+        .post("/v1/query", &query_payload)
         .expect("prime query");
     assert_eq!(primed.status, 200, "{}", primed.body);
 
@@ -86,7 +86,7 @@ fn bench(c: &mut Criterion) {
     let query_requests = 200;
     for _ in 0..query_requests {
         let r = warm_client
-            .post("/query", &query_payload)
+            .post("/v1/query", &query_payload)
             .expect("warm query");
         assert_eq!(r.status, 200, "{}", r.body);
     }
@@ -99,7 +99,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("serve_http");
     group.bench_function("healthz", |b| {
-        b.iter(|| warm_client.get("/healthz").expect("healthz").body.len())
+        b.iter(|| warm_client.get("/v1/healthz").expect("healthz").body.len())
     });
     group.bench_function("warm_describe", |b| {
         b.iter(|| warm_client.get(&target).expect("warm describe").body.len())
@@ -107,7 +107,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("warm_query", |b| {
         b.iter(|| {
             warm_client
-                .post("/query", &query_payload)
+                .post("/v1/query", &query_payload)
                 .expect("warm query")
                 .body
                 .len()

@@ -443,9 +443,9 @@ pub fn cmd_serve(path: &Path, opts: &ServeOpts) -> Result<(remi_serve::ServerHan
         .map_err(|e| CliError(format!("cannot serve on {}: {e}", opts.addr)))?;
     let banner = format!(
         "serving {} on http://{} ({} backend, cache {} entries, max-inflight {})\n\
-         routes (also under /v1): GET /healthz | GET /stats | GET /metrics | \
-         GET /debug/events | GET /describe/{{entity}} | POST /describe | \
-         GET /summarize/{{entity}} | POST /ingest | POST /query",
+         routes: GET /v1/healthz | GET /v1/stats | GET /v1/metrics | \
+         GET /v1/debug/events | GET /v1/describe/{{entity}} | POST /v1/describe | \
+         GET /v1/summarize/{{entity}} | POST /v1/ingest | POST /v1/query",
         path.display(),
         handle.addr(),
         opts.backend.map(|b| b.name()).unwrap_or("format-native"),
@@ -538,12 +538,12 @@ QUERYING:
 
 SERVING:
   remi serve keeps the KB resident and answers JSON over HTTP/1.1
-  (canonical paths live under /v1/...; the unprefixed spellings remain
-  as aliases): GET /healthz, GET /stats,
-  GET /metrics (Prometheus text exposition),
-  GET /describe/{entity}?k=&threads=&backend=,
-  POST /describe {\"entities\": [...]}, GET /summarize/{entity}?k=&method=,
-  POST /ingest (N-Triples body), POST /query {\"patterns\": [{\"s\": ...,
+  (every path lives under /v1/...): GET /v1/healthz, GET /v1/stats,
+  GET /v1/metrics (Prometheus text exposition),
+  GET /v1/describe/{entity}?k=&threads=&backend=,
+  POST /v1/describe {\"entities\": [...]},
+  GET /v1/summarize/{entity}?k=&method=,
+  POST /v1/ingest (N-Triples body), POST /v1/query {\"patterns\": [{\"s\": ...,
   \"p\": ..., \"o\": ...}], \"limit\": N}. Responses are cached (LRU,
   --cache-entries; 0 disables) and work beyond --max-inflight is shed
   with 503. Ingested batches publish a new epoch atomically; once the
@@ -551,20 +551,20 @@ SERVING:
   fresh base in the background.
 
 OBSERVABILITY:
-  GET /metrics exposes counters, gauges, and log2-bucketed latency
+  GET /v1/metrics exposes counters, gauges, and log2-bucketed latency
   histograms for every route, pool scheduling, and kb publish/compaction
-  (every count lives there; /stats reports only KB, epoch, backend and
+  (every count lives there; /v1/stats reports only KB, epoch, backend and
   config facts); every route's per-status latency families are registered
   at boot, so scrapes before traffic already expose them. Appending
   ?trace=1 to any JSON endpoint embeds that request's per-phase timings
-  in the response body; ?explain=1 on POST /query embeds the planner's
+  in the response body; ?explain=1 on POST /v1/query embeds the planner's
   plan trace (pattern order, estimated vs actual cardinalities, merge
   vs nested join path) — both applied after the cache, so cached bodies
   stay clean. A bounded in-memory flight recorder (--event-capacity N
   events, default 1024) collects structured events from the planner
   (query_plan, query_pattern), KB lifecycle (kb_publish, kb_compact),
   pool anomalies (park/revive storms, help-drain stalls), and 500s;
-  GET /debug/events?channel=&severity=&since=&limit= reads it back as
+  GET /v1/debug/events?channel=&severity=&since=&limit= reads it back as
   JSON. --slow-request-ms N logs any request slower than N ms to stderr
   with its phase breakdown plus the recorder tail (0 logs every
   request); every 500 dumps the same tail.

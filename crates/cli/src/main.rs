@@ -502,7 +502,7 @@ mod tests {
         };
         assert!(banner.contains("serving"), "{banner}");
         let mut c = remi_serve::client::Client::connect(handle.addr()).unwrap();
-        assert_eq!(c.get("/healthz").unwrap().status, 200);
+        assert_eq!(c.get("/v1/healthz").unwrap().status, 200);
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

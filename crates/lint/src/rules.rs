@@ -625,6 +625,7 @@ fn rule_panic_in_serve(ctx: &FileCtx<'_>, _info: &PathInfo, raw: &mut Vec<Violat
         "crates/serve/src/router.rs",
         "crates/serve/src/params.rs",
         "crates/serve/src/query.rs",
+        "crates/serve/src/describe.rs",
         "crates/serve/src/events.rs",
     ];
     if !REQUEST_MODULES.contains(&ctx.path.as_str()) {

@@ -189,18 +189,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Rebuild a snapshot from per-bucket (non-cumulative) counts. Pass
-    /// `u64::MAX` as `max` when the true maximum is unknown — quantiles
-    /// then report raw bucket upper edges.
-    pub fn from_parts(buckets: [u64; BUCKETS], count: u64, sum: u64, max: u64) -> Self {
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
     pub fn buckets(&self) -> &[u64; BUCKETS] {
         &self.buckets
     }

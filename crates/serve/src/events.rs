@@ -1,4 +1,4 @@
-//! `GET /debug/events` — the flight-recorder endpoint — plus the serve
+//! `GET /v1/debug/events` — the flight-recorder endpoint — plus the serve
 //! layer's own event vocabulary (500s, slow requests) and the stderr
 //! tail dump shared by the slow-request log and the 500 path.
 //!
@@ -133,7 +133,7 @@ fn event_json(e: &EventRecord) -> String {
         .finish()
 }
 
-/// The `GET /debug/events` handler (a row of the route table): the
+/// The `GET /v1/debug/events` handler (a row of the route table): the
 /// recorder's surviving events, oldest first, optionally filtered by
 /// `?channel=`, `?severity=` (minimum), `?since=` (sequence number,
 /// exclusive of nothing — events with `seq >= since`), and `?limit=`

@@ -24,12 +24,13 @@
 //! # The API
 //!
 //! Routing is table-driven (`router.rs`): every endpoint is exactly one
-//! `(method, path, admission) → handler` row, mounted at its canonical
-//! versioned path `/v1/…` with the legacy unprefixed path kept as an
-//! alias, and `405` responses derive their `Allow` header from the
-//! table. Parameter parsing and clamping go through one typed extractor
-//! (`params.rs`), so every endpoint shares the same limits and the same
-//! `{"error": …, "param": …}` failure envelope.
+//! `(method, path, admission) → handler` row at its versioned path
+//! `/v1/…` (the only spelling), and `405` responses derive their `Allow`
+//! header from the table. Parameter parsing and clamping go through one
+//! typed extractor (`params.rs`), so every endpoint shares the same
+//! limits and the same `{"error": …, "param": …}` failure envelope. Both
+//! describe routes mine through one function (`describe.rs`): a GET is a
+//! batch of one.
 //!
 //! | route                        | answer                                   |
 //! |------------------------------|------------------------------------------|
@@ -38,6 +39,7 @@
 //! | `GET /v1/metrics`            | Prometheus text exposition (`remi-obs`)  |
 //! | `GET /v1/describe/{entity}`  | best RE(s); `?k=&threads=&backend=`      |
 //! | `POST /v1/describe`          | batched entity list, one shared miner    |
+//! | `GET /v1/debug/events`       | flight-recorder tail (`?channel=&…`)     |
 //! | `GET /v1/summarize/{entity}` | top-k facts; `?k=&method=&backend=`      |
 //! | `POST /v1/ingest`            | append N-Triples (atomic epoch publish)  |
 //! | `POST /v1/query`             | triple patterns + limit → variable rows  |
@@ -55,11 +57,13 @@ pub mod client;
 pub mod http;
 pub mod json;
 
+mod describe;
 mod events;
 mod params;
 mod query;
 mod router;
 
+pub use describe::describe_body;
 pub use query::query_body;
 
 use std::io::{Read, Write};
@@ -76,8 +80,6 @@ use remi_obs::{
     series, Clock as _, Counter, Gauge, Histogram, MonoClock, Recorder, Registry, Span,
 };
 
-use remi_core::topk::describe_top_k;
-use remi_core::{Remi, RemiConfig};
 use remi_kb::delta::Snapshot;
 use remi_kb::pagerank::{pagerank, PageRank, PageRankConfig};
 use remi_kb::{Backend, CompactionPolicy, KnowledgeBase, LiveKb, NodeId};
@@ -99,9 +101,6 @@ const READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// worker mid-response before the connection is dropped.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Hard cap on one batched describe.
-const MAX_BATCH: usize = 64;
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -122,7 +121,7 @@ pub struct ServeConfig {
     /// Default P-REMI task count per describe request (`?threads=`
     /// overrides per request).
     pub threads: usize,
-    /// Background-compaction trigger: once `POST /ingest` has grown the
+    /// Background-compaction trigger: once `POST /v1/ingest` has grown the
     /// delta overlay past this many triples, a compaction task is
     /// scheduled on the shared pool to fold it into a fresh base.
     pub compact_min_delta: usize,
@@ -211,58 +210,13 @@ pub fn error_body(message: &str) -> String {
     JsonObject::new().field_str("error", message).finish()
 }
 
-fn resolve(kb: &KnowledgeBase, iri: &str) -> Result<NodeId, ApiError> {
+pub(crate) fn resolve(kb: &KnowledgeBase, iri: &str) -> Result<NodeId, ApiError> {
     kb.node_id_by_iri(iri)
         .ok_or_else(|| ApiError::not_found(iri))
 }
 
-fn mining_config(threads: usize) -> RemiConfig {
-    RemiConfig::default().with_threads(threads)
-}
-
-/// Renders one `describe` response body using an already-constructed
-/// miner (the batched endpoint shares one miner — and thus one prominence
-/// ranking and enumeration context — across all entities of the batch).
-fn describe_body_with(remi: &Remi<'_>, iri: &str, k: usize) -> Result<String, ApiError> {
-    let kb = remi.kb();
-    let target = resolve(kb, iri)?;
-    let (found, status) = if k == 1 {
-        let outcome = remi.describe(&[target]);
-        (outcome.best.into_iter().collect(), outcome.status)
-    } else {
-        let top = describe_top_k(remi, &[target], k);
-        (top.found, top.status)
-    };
-    let results = found.iter().map(|(expr, cost)| {
-        JsonObject::new()
-            .field_str("expression", &expr.display(kb).to_string())
-            .field_str("verbalised", &remi_core::verbalize::verbalize(kb, expr))
-            .field_str("complexity", &cost.to_string())
-            .finish()
-    });
-    Ok(JsonObject::new()
-        .field_str("entity", iri)
-        .field_u64("k", k as u64)
-        .field_str("status", status.as_str())
-        .field_raw("results", &json::array_raw(results))
-        .finish())
-}
-
-/// Renders the `describe` response for one entity: the most intuitive
-/// referring expression(s) mined by `remi_core`, as canonical JSON. This
-/// is exactly what `GET /describe/{entity}` answers on a cache miss.
-pub fn describe_body(
-    kb: &KnowledgeBase,
-    iri: &str,
-    k: usize,
-    threads: usize,
-) -> Result<String, ApiError> {
-    let remi = Remi::new(kb, mining_config(threads));
-    describe_body_with(&remi, iri, k)
-}
-
 /// Renders the `summarize` response for one entity — exactly what
-/// `GET /summarize/{entity}` answers on a cache miss. `ranks` lets the
+/// `GET /v1/summarize/{entity}` answers on a cache miss. `ranks` lets the
 /// server reuse its cached PageRank; pass `None` to compute it on demand
 /// (the `linksum` method only).
 pub fn summarize_body(
@@ -405,13 +359,13 @@ pub(crate) struct Trace<'c> {
     pub(crate) span: Span<'c>,
     pub(crate) route: &'static str,
     pub(crate) echo: bool,
-    /// `?explain=1`: `POST /query` bypasses the cache and carries its own
+    /// `?explain=1`: `POST /v1/query` bypasses the cache and carries its own
     /// plan trace in the response body (see `query.rs`).
     pub(crate) explain: bool,
 }
 
 pub(crate) struct AppState {
-    /// The resident KB, now appendable: `POST /ingest` publishes new
+    /// The resident KB, now appendable: `POST /v1/ingest` publishes new
     /// epochs, every request pins one [`Snapshot`].
     pub(crate) live: LiveKb,
     primary: Backend,
@@ -506,8 +460,20 @@ impl AppState {
         pr
     }
 
+    /// Caches a body rendered under `key.kb` — unless that generation
+    /// rotated away while it was being rendered: the eager purge already
+    /// dropped its entries, and re-seeding would resurrect one. (The check
+    /// races rotation by design — an entry that slips through is
+    /// unreachable but bounded: the next rotation's purge drops every
+    /// non-live generation.)
+    pub(crate) fn seed(&self, key: CacheKey, body: &str) {
+        if self.live.snapshot().fingerprint == key.kb {
+            self.cache.put(key, Arc::from(body));
+        }
+    }
+
     /// The converted twin, but only if one is already resident for this
-    /// snapshot's content — `/stats` must never pay for a conversion.
+    /// snapshot's content — `/v1/stats` must never pay for a conversion.
     fn resident_converted(&self, snap: &Snapshot) -> Option<Arc<KnowledgeBase>> {
         let slot = self.converted.lock();
         match &*slot {
@@ -533,7 +499,7 @@ pub(crate) struct Response {
     status: u16,
     headers: Vec<(&'static str, String)>,
     body: String,
-    /// The `Content-Type` answered — JSON everywhere except `/metrics`.
+    /// The `Content-Type` answered — JSON everywhere except `/v1/metrics`.
     content_type: &'static str,
 }
 
@@ -547,7 +513,7 @@ impl Response {
         }
     }
 
-    /// A `200` carrying a non-JSON body (`/metrics`' text exposition).
+    /// A `200` carrying a non-JSON body (`/v1/metrics`' text exposition).
     pub(crate) fn text(body: String) -> Response {
         Response {
             status: 200,
@@ -586,6 +552,12 @@ impl Response {
         r.headers.push(("Allow", allow.to_string()));
         r
     }
+
+    /// Adds the `X-Remi-Cache` header: `hit`, `miss`, or `bypass`.
+    pub(crate) fn cache(mut self, verdict: &'static str) -> Response {
+        self.headers.push(("X-Remi-Cache", verdict.to_string()));
+        self
+    }
 }
 
 /// Consults the cache for `request_key` under the pinned snapshot's
@@ -606,26 +578,15 @@ pub(crate) fn cached(
     };
     if let Some(body) = state.cache.get(&key) {
         trace.span.phase("cache");
-        let mut r = Response::ok(body.to_string());
-        r.headers.push(("X-Remi-Cache", "hit".to_string()));
-        return r;
+        return Response::ok(body.to_string()).cache("hit");
     }
     trace.span.phase("cache");
     let rendered = render();
     trace.span.phase("mine");
     match rendered {
         Ok(body) => {
-            // Don't re-seed a generation that rotated away while we were
-            // mining: the eager purge already dropped its entries. (The
-            // check races rotation by design — an entry that slips
-            // through is unreachable but bounded: the next rotation's
-            // purge drops every non-live generation.)
-            if state.live.snapshot().fingerprint == snap.fingerprint {
-                state.cache.put(key, Arc::from(body.as_str()));
-            }
-            let mut r = Response::ok(body);
-            r.headers.push(("X-Remi-Cache", "miss".to_string()));
-            r
+            state.seed(key, &body);
+            Response::ok(body).cache("miss")
         }
         Err(e) => Response::api(&e),
     }
@@ -641,7 +602,7 @@ pub(crate) fn handle_healthz(
     Response::ok(JsonObject::new().field_str("status", "ok").finish())
 }
 
-/// `GET /metrics`: every registered instrument (HTTP latency and phase
+/// `GET /v1/metrics`: every registered instrument (HTTP latency and phase
 /// histograms, request/connection/cache counters, pool scheduling, KB
 /// ingest/publish/compaction) in Prometheus text exposition format. The
 /// level gauges (epoch, triples, delta, cache entries, uptime) are set
@@ -665,7 +626,7 @@ pub(crate) fn handle_metrics(
     Response::text(r.render_prometheus())
 }
 
-/// `GET /stats`: facts about the pinned snapshot and the configuration.
+/// `GET /v1/stats`: facts about the pinned snapshot and the configuration.
 /// Counts and latencies live in `/v1/metrics` only.
 pub(crate) fn handle_stats(
     state: &AppState,
@@ -743,137 +704,7 @@ pub(crate) fn handle_stats(
     Response::ok(body)
 }
 
-pub(crate) fn handle_describe_one(
-    state: &AppState,
-    snap: &Snapshot,
-    req: &Request,
-    iri: &str,
-    trace: &mut Trace<'_>,
-) -> Response {
-    let params = match params::QueryParams::defaults(state.default_threads).merge_query(req) {
-        Ok(p) => p,
-        Err(e) => return Response::api(&e),
-    };
-    let (k, threads) = (params.k, params.threads);
-    cached(
-        state,
-        snap,
-        trace,
-        format!("describe?entity={iri}&k={k}&threads={threads}"),
-        // kb_for runs only on a miss: a cache hit must not materialise
-        // the lazily-built secondary backend.
-        || describe_body(&state.kb_for(snap, params.backend), iri, k, threads),
-    )
-}
-
-pub(crate) fn handle_describe_batch(
-    state: &AppState,
-    snap: &Snapshot,
-    req: &Request,
-    _tail: &str,
-    trace: &mut Trace<'_>,
-) -> Response {
-    let doc = match json::parse(&req.body) {
-        Ok(doc) => doc,
-        Err(e) => return Response::error(400, &format!("malformed JSON body: {e}")),
-    };
-    let Some(entities) = doc.get("entities").and_then(|v| v.as_array()) else {
-        return Response::error(400, "body must be {\"entities\": [...], ...}");
-    };
-    if entities.is_empty() || entities.len() > MAX_BATCH {
-        return Response::error(400, &format!("entities must hold 1..={MAX_BATCH} IRIs"));
-    }
-    let mut iris = Vec::with_capacity(entities.len());
-    for e in entities {
-        match e.as_str() {
-            Some(iri) => iris.push(iri),
-            None => return Response::error(400, "entities must be strings"),
-        }
-    }
-    let params = match params::QueryParams::defaults(state.default_threads).merge_json(&doc) {
-        Ok(p) => p,
-        Err(e) => return Response::api(&e),
-    };
-    let (k, threads, backend) = (params.k, params.threads, params.backend);
-
-    let request_key =
-        |iri: &str| -> String { format!("describe?entity={iri}&k={k}&threads={threads}") };
-    let cache_key = |iri: &str| CacheKey {
-        request: request_key(iri),
-        kb: snap.fingerprint,
-    };
-
-    // Resolve what the cache already holds; mine the rest in parallel —
-    // one scoped pool task per distinct entity (duplicate IRIs in the
-    // batch de-duplicate onto one task).
-    let mut results: Vec<Option<String>> = vec![None; iris.len()];
-    let mut misses: Vec<(&str, Vec<usize>)> = Vec::new();
-    for (i, iri) in iris.iter().enumerate() {
-        if let Some(body) = state.cache.get(&cache_key(iri)) {
-            if let Some(slot) = results.get_mut(i) {
-                *slot = Some(body.to_string());
-            }
-            continue;
-        }
-        match misses.iter_mut().find(|(m, _)| m == iri) {
-            Some((_, slots)) => slots.push(i),
-            None => misses.push((iri, vec![i])),
-        }
-    }
-    trace.span.phase("cache");
-    if !misses.is_empty() {
-        let kb = state.kb_for(snap, backend);
-        // One miner (prominence ranking + enumeration context) shared
-        // across the whole batch; each entity mines as its own task.
-        let remi = Remi::new(&kb, mining_config(threads));
-        let mined: Vec<Mutex<Option<Result<String, ApiError>>>> =
-            misses.iter().map(|_| Mutex::new(None)).collect();
-        remi_pool::global().scope(|scope| {
-            for ((iri, _), cell) in misses.iter().zip(&mined) {
-                let remi = &remi;
-                scope.spawn(move || {
-                    *cell.lock() = Some(describe_body_with(remi, iri, k));
-                });
-            }
-        });
-        // As in `cached`: a generation that rotated mid-batch is not
-        // re-seeded into the cache.
-        let still_live = state.live.snapshot().fingerprint == snap.fingerprint;
-        for ((iri, slots), cell) in misses.iter().zip(mined) {
-            // The scope join guarantees every miner wrote its cell; an
-            // empty cell would mean a dropped task, which degrades to an
-            // error body for that entity rather than killing the worker.
-            let body = match cell.lock().take() {
-                Some(Ok(body)) => {
-                    if still_live {
-                        state.cache.put(cache_key(iri), Arc::from(body.as_str()));
-                    }
-                    body
-                }
-                Some(Err(e)) => error_body(&e.message),
-                None => error_body("internal: miner task produced no result"),
-            };
-            for &i in slots {
-                if let Some(slot) = results.get_mut(i) {
-                    *slot = Some(body.clone());
-                }
-            }
-        }
-        trace.span.phase("mine");
-    }
-    let results: Vec<String> = results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| error_body("internal: batch slot unanswered")))
-        .collect();
-    Response::ok(
-        JsonObject::new()
-            .field_u64("count", results.len() as u64)
-            .field_raw("results", &json::array_raw(results))
-            .finish(),
-    )
-}
-
-/// `POST /ingest`: appends an N-Triples body to the live KB. One batch is
+/// `POST /v1/ingest`: appends an N-Triples body to the live KB. One batch is
 /// one atomic publish — a parse error applies nothing. A successful
 /// append rotates the fingerprint, purges stale response-cache
 /// generations, and (past the compaction threshold) schedules a
@@ -1635,6 +1466,7 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remi_core::{Remi, RemiConfig};
 
     fn tiny_kb() -> KnowledgeBase {
         let mut b = remi_kb::KbBuilder::new();
@@ -1699,16 +1531,16 @@ mod tests {
     fn server_boots_answers_and_shuts_down() {
         let mut server = serve(tiny_kb(), ServeConfig::default()).unwrap();
         let mut c = client::Client::connect(server.addr()).unwrap();
-        let health = c.get("/healthz").unwrap();
+        let health = c.get("/v1/healthz").unwrap();
         assert_eq!(health.status, 200);
         assert_eq!(health.body, "{\"status\":\"ok\"}");
 
         // Same describe twice: second answer is a cache hit with
         // byte-identical body.
-        let cold = c.get("/describe/e:Paris").unwrap();
+        let cold = c.get("/v1/describe/e:Paris").unwrap();
         assert_eq!(cold.status, 200, "{}", cold.body);
         assert_eq!(cold.header("x-remi-cache"), Some("miss"));
-        let warm = c.get("/describe/e:Paris").unwrap();
+        let warm = c.get("/v1/describe/e:Paris").unwrap();
         assert_eq!(warm.header("x-remi-cache"), Some("hit"));
         assert_eq!(cold.body, warm.body);
         assert_eq!(
@@ -1722,7 +1554,7 @@ mod tests {
             client::Client::connect(server.addr()).is_err() || {
                 // The OS may accept briefly after close; a request must fail.
                 let mut c = client::Client::connect(server.addr()).unwrap();
-                c.get("/healthz").is_err()
+                c.get("/v1/healthz").is_err()
             }
         );
     }
@@ -1751,35 +1583,64 @@ mod tests {
         let mut server = serve(tiny_kb(), ServeConfig::default()).unwrap();
         let mut c = client::Client::connect(server.addr()).unwrap();
 
-        let stats = c.get("/stats").unwrap();
+        let stats = c.get("/v1/stats").unwrap();
         assert!(stats.body.contains("\"epoch\":0"), "{}", stats.body);
 
         let resp = c
-            .post("/ingest", "<e:Nantes> <p:cityIn> <e:France> .\n")
+            .post("/v1/ingest", "<e:Nantes> <p:cityIn> <e:France> .\n")
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(resp.body.contains("\"appended\":1"), "{}", resp.body);
         assert!(resp.body.contains("\"epoch\":1"), "{}", resp.body);
 
         // The new entity is servable immediately.
-        let desc = c.get("/describe/e:Nantes").unwrap();
+        let desc = c.get("/v1/describe/e:Nantes").unwrap();
         assert_eq!(desc.status, 200, "{}", desc.body);
 
         // Parse errors reject the whole batch, atomically.
-        let bad = c.post("/ingest", "<e:a> <p:b> .\n").unwrap();
+        let bad = c.post("/v1/ingest", "<e:a> <p:b> .\n").unwrap();
         assert_eq!(bad.status, 400, "{}", bad.body);
-        let stats = c.get("/stats").unwrap();
+        let stats = c.get("/v1/stats").unwrap();
         assert!(stats.body.contains("\"epoch\":1"), "{}", stats.body);
 
         // Pure duplicates keep the epoch (idempotent ingest).
         let dup = c
-            .post("/ingest", "<e:Nantes> <p:cityIn> <e:France> .\n")
+            .post("/v1/ingest", "<e:Nantes> <p:cityIn> <e:France> .\n")
             .unwrap();
         assert!(dup.body.contains("\"appended\":0"), "{}", dup.body);
         assert!(dup.body.contains("\"epoch\":1"), "{}", dup.body);
 
-        // GET /ingest is not a thing.
-        assert_eq!(c.get("/ingest").unwrap().status, 405);
+        // GET /v1/ingest is not a thing.
+        assert_eq!(c.get("/v1/ingest").unwrap().status, 405);
         server.shutdown();
+    }
+
+    #[test]
+    fn seeding_skips_a_generation_that_rotated_away() {
+        let server = serve(tiny_kb(), ServeConfig::default()).unwrap();
+        let state = &server.state;
+        let key = |snap: &Snapshot| CacheKey {
+            request: "describe?entity=e:Paris&k=1&threads=1".to_string(),
+            kb: snap.fingerprint,
+        };
+
+        // The pinned generation rotates before its body is seeded: the
+        // entry must not be inserted.
+        let pinned = state.live.snapshot();
+        let appended = state
+            .live
+            .append_ntriples("<e:Nantes> <p:cityIn> <e:France> .\n")
+            .unwrap();
+        assert_eq!(appended.appended, 1);
+        assert_ne!(state.live.snapshot().fingerprint, pinned.fingerprint);
+        let before = state.cache.entries();
+        state.seed(key(&pinned), "{}");
+        assert_eq!(state.cache.entries(), before);
+
+        // Against the live generation, seeding inserts.
+        let live = state.live.snapshot();
+        state.seed(key(&live), "{}");
+        assert_eq!(state.cache.entries(), before + 1);
+        assert_eq!(state.cache.get(&key(&live)).as_deref(), Some("{}"));
     }
 }

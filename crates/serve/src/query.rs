@@ -1,4 +1,4 @@
-//! `POST /query` — the triple-pattern / BGP endpoint.
+//! `POST /v1/query` — the triple-pattern / BGP endpoint.
 //!
 //! The body names up to [`MAX_PATTERNS`] patterns (`{"s": …, "p": …,
 //! "o": …}`, slots starting with `?` are variables) plus an optional
@@ -64,7 +64,7 @@ fn request_key(patterns: &[[String; 3]], limit: usize) -> String {
     format!("query?limit={limit}&patterns={}", spec.join(";"))
 }
 
-/// Renders the `/query` response body — exactly what `POST /query`
+/// Renders the `/query` response body — exactly what `POST /v1/query`
 /// answers on a cache miss: the variable header (first-appearance
 /// order), the row count, the truncation flag, and one row of bound
 /// IRIs per solution.
@@ -166,7 +166,7 @@ fn with_explain(mut body: String, plan: &PlanTrace) -> String {
     body
 }
 
-/// The `POST /query` handler (a row of the route table).
+/// The `POST /v1/query` handler (a row of the route table).
 pub(crate) fn handle_query(
     state: &AppState,
     snap: &Snapshot,
@@ -203,9 +203,7 @@ pub(crate) fn handle_query(
         return match result {
             Ok((body, plan, rows)) => {
                 state.query_events.record(state.clock.now_ns(), &plan, rows);
-                let mut r = Response::ok(with_explain(body, &plan));
-                r.headers.push(("X-Remi-Cache", "bypass".to_string()));
-                r
+                Response::ok(with_explain(body, &plan)).cache("bypass")
             }
             Err(e) => {
                 if e.status == 503 {

@@ -6,9 +6,9 @@
 //! `405 Allow` header all derive from the same declaration — there is no
 //! hand-rolled if-chain to drift out of sync.
 //!
-//! Paths are versioned: `/v1/{route}` is the canonical spelling and the
-//! legacy unprefixed `/{route}` remains as an alias (the `/v1` prefix is
-//! stripped before table lookup, so every row serves both).
+//! Paths are versioned, and each route has exactly one spelling: the
+//! `/v1/…` path its row declares. An unprefixed or other-version path
+//! matches no row and answers `404`.
 
 use remi_kb::delta::Snapshot;
 
@@ -20,7 +20,7 @@ pub(crate) enum PathSpec {
     /// The whole path, exactly.
     Exact(&'static str),
     /// A leading prefix; the remainder (possibly empty) is the capture
-    /// handed to the handler — e.g. the entity IRI of `/describe/{iri}`.
+    /// handed to the handler — e.g. the entity IRI of `/v1/describe/{iri}`.
     Prefix(&'static str),
 }
 
@@ -49,8 +49,8 @@ pub(crate) struct Route {
     /// `remi_http_request_duration_ns{route=…,status=…}`.
     pub name: &'static str,
     /// Whether the handler runs behind the admission watermark (mining,
-    /// query, and ingest work is shed with 503 beyond it; `/healthz` and
-    /// `/stats` stay answerable under full load).
+    /// query, and ingest work is shed with 503 beyond it; `/v1/healthz` and
+    /// `/v1/stats` stay answerable under full load).
     pub admission: bool,
     /// The handler function.
     pub handler: Handler,
@@ -60,78 +60,68 @@ pub(crate) struct Route {
 pub(crate) const TABLE: &[Route] = &[
     Route {
         method: "GET",
-        path: PathSpec::Exact("/healthz"),
+        path: PathSpec::Exact("/v1/healthz"),
         name: "healthz",
         admission: false,
         handler: crate::handle_healthz,
     },
     Route {
         method: "GET",
-        path: PathSpec::Exact("/stats"),
+        path: PathSpec::Exact("/v1/stats"),
         name: "stats",
         admission: false,
         handler: crate::handle_stats,
     },
     Route {
         method: "GET",
-        path: PathSpec::Exact("/metrics"),
+        path: PathSpec::Exact("/v1/metrics"),
         name: "metrics",
         admission: false,
         handler: crate::handle_metrics,
     },
     Route {
         method: "GET",
-        path: PathSpec::Exact("/debug/events"),
+        path: PathSpec::Exact("/v1/debug/events"),
         name: "debug_events",
         admission: false,
         handler: crate::events::handle_debug_events,
     },
     Route {
         method: "GET",
-        path: PathSpec::Prefix("/describe/"),
+        path: PathSpec::Prefix("/v1/describe/"),
         name: "describe",
         admission: true,
-        handler: crate::handle_describe_one,
+        handler: crate::describe::handle_describe_one,
     },
     Route {
         method: "POST",
-        path: PathSpec::Exact("/describe"),
+        path: PathSpec::Exact("/v1/describe"),
         name: "describe_batch",
         admission: true,
-        handler: crate::handle_describe_batch,
+        handler: crate::describe::handle_describe_batch,
     },
     Route {
         method: "GET",
-        path: PathSpec::Prefix("/summarize/"),
+        path: PathSpec::Prefix("/v1/summarize/"),
         name: "summarize",
         admission: true,
         handler: crate::handle_summarize,
     },
     Route {
         method: "POST",
-        path: PathSpec::Exact("/ingest"),
+        path: PathSpec::Exact("/v1/ingest"),
         name: "ingest",
         admission: true,
         handler: crate::handle_ingest,
     },
     Route {
         method: "POST",
-        path: PathSpec::Exact("/query"),
+        path: PathSpec::Exact("/v1/query"),
         name: "query",
         admission: true,
         handler: crate::query::handle_query,
     },
 ];
-
-/// Strips the `/v1` version prefix: `/v1/stats` routes like `/stats`.
-/// Only a real segment boundary counts — `/v1x` is not versioned, and a
-/// bare `/v1` matches no route.
-fn strip_version(path: &str) -> &str {
-    match path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => rest,
-        _ => path,
-    }
-}
 
 /// Routes one parsed request against a pinned snapshot (one epoch per
 /// request — mid-request ingests never tear a response). A path that
@@ -139,10 +129,9 @@ fn strip_version(path: &str) -> &str {
 /// header listing exactly the methods the table declares for it.
 pub(crate) fn dispatch(state: &AppState, req: &Request, trace: &mut Trace<'_>) -> Response {
     let snap = state.live.snapshot();
-    let path = strip_version(&req.path);
     let mut allow: Vec<&'static str> = Vec::new();
     for route in TABLE {
-        let Some(tail) = route.path.capture(path) else {
+        let Some(tail) = route.path.capture(&req.path) else {
             continue;
         };
         if route.method == req.method {
@@ -169,15 +158,6 @@ pub(crate) fn dispatch(state: &AppState, req: &Request, trace: &mut Trace<'_>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn version_prefix_strips_only_on_segment_boundaries() {
-        assert_eq!(strip_version("/v1/stats"), "/stats");
-        assert_eq!(strip_version("/v1/describe/e:X"), "/describe/e:X");
-        assert_eq!(strip_version("/stats"), "/stats");
-        assert_eq!(strip_version("/v1"), "/v1");
-        assert_eq!(strip_version("/v1x"), "/v1x");
-    }
 
     #[test]
     fn captures_follow_the_spec() {

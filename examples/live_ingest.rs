@@ -91,29 +91,32 @@ fn main() {
 
     // Describe an entity that does not exist yet.
     let miss = client
-        .get(&format!("/describe/{}", percent_encode("e:Atlantis_1")))
+        .get(&format!("/v1/describe/{}", percent_encode("e:Atlantis_1")))
         .expect("describe");
-    println!("GET /describe/e:Atlantis_1 → {}", miss.status);
+    println!("GET /v1/describe/e:Atlantis_1 → {}", miss.status);
 
     // Ingest facts about it, then describe again: servable immediately.
     let ingest = client
         .post(
-            "/ingest",
+            "/v1/ingest",
             "<e:Atlantis_1> <p:locatedIn> <e:Ocean_1> .\n\
              <e:Atlantis_2> <p:locatedIn> <e:Ocean_1> .\n\
              <e:Atlantis_1> <p:submerged> <e:Ocean_1> .\n",
         )
         .expect("ingest");
-    println!("POST /ingest → {} {}", ingest.status, ingest.body);
+    println!("POST /v1/ingest → {} {}", ingest.status, ingest.body);
 
     let hit = client
-        .get(&format!("/describe/{}", percent_encode("e:Atlantis_1")))
+        .get(&format!("/v1/describe/{}", percent_encode("e:Atlantis_1")))
         .expect("describe");
-    println!("GET /describe/e:Atlantis_1 → {} {}", hit.status, hit.body);
+    println!(
+        "GET /v1/describe/e:Atlantis_1 → {} {}",
+        hit.status, hit.body
+    );
 
     // The stats surface the live epoch facts (epoch, delta, base size).
-    let stats = client.get("/stats").expect("stats");
-    println!("GET /stats → {}", stats.body);
+    let stats = client.get("/v1/stats").expect("stats");
+    println!("GET /v1/stats → {}", stats.body);
 
     server.shutdown();
     println!("server drained and shut down");

@@ -34,11 +34,11 @@ fn main() {
 
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let health = client.get("/healthz").expect("healthz");
-    println!("GET /healthz → {} {}", health.status, health.body);
+    let health = client.get("/v1/healthz").expect("healthz");
+    println!("GET /v1/healthz → {} {}", health.status, health.body);
 
     // First describe mines; the repeat is answered from the cache.
-    let target = format!("/describe/{}", percent_encode(&entity));
+    let target = format!("/v1/describe/{}", percent_encode(&entity));
     let cold = client.get(&target).expect("describe");
     println!(
         "GET {target} → {} ({}) {}",
@@ -55,12 +55,15 @@ fn main() {
     );
 
     let summary = client
-        .get(&format!("/summarize/{}?k=3", percent_encode(&entity)))
+        .get(&format!("/v1/summarize/{}?k=3", percent_encode(&entity)))
         .expect("summarize");
-    println!("GET /summarize/... → {} {}", summary.status, summary.body);
+    println!(
+        "GET /v1/summarize/... → {} {}",
+        summary.status, summary.body
+    );
 
-    let stats = client.get("/stats").expect("stats");
-    println!("GET /stats → {} {}", stats.status, stats.body);
+    let stats = client.get("/v1/stats").expect("stats");
+    println!("GET /v1/stats → {} {}", stats.status, stats.body);
 
     server.shutdown();
     println!("server drained and shut down");

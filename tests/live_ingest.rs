@@ -269,11 +269,11 @@ fn describe_bytes_survive_a_noop_compaction() {
 
     // Grow the delta, then describe on the layered view.
     let ingest = c
-        .post("/ingest", "<e:live_x> <p:liveRel> <e:live_y> .\n")
+        .post("/v1/ingest", "<e:live_x> <p:liveRel> <e:live_y> .\n")
         .unwrap();
     assert_eq!(ingest.status, 200, "{}", ingest.body);
     let before = c
-        .get(&format!("/describe/{}?threads=1", percent_encode(&iri)))
+        .get(&format!("/v1/describe/{}?threads=1", percent_encode(&iri)))
         .unwrap();
     assert_eq!(before.status, 200, "{}", before.body);
 
@@ -281,7 +281,7 @@ fn describe_bytes_survive_a_noop_compaction() {
     let compacted = (0..200).any(|_| {
         std::thread::sleep(std::time::Duration::from_millis(10));
         let metrics = c.get("/v1/metrics").unwrap().body;
-        let stats = c.get("/stats").unwrap().body;
+        let stats = c.get("/v1/stats").unwrap().body;
         metric(&metrics, "remi_kb_compactions_total{outcome=\"performed\"}") == Some(1)
             && stats.contains("\"delta_triples\":0")
     });
@@ -290,7 +290,7 @@ fn describe_bytes_survive_a_noop_compaction() {
     // Same request: a cache hit (the fingerprint survived the fold), and
     // byte-identical.
     let warm = c
-        .get(&format!("/describe/{}?threads=1", percent_encode(&iri)))
+        .get(&format!("/v1/describe/{}?threads=1", percent_encode(&iri)))
         .unwrap();
     assert_eq!(warm.header("x-remi-cache"), Some("hit"));
     assert_eq!(warm.body, before.body);
@@ -298,7 +298,7 @@ fn describe_bytes_survive_a_noop_compaction() {
     // A fresh cache key after the fold: mined on the compacted base, and
     // still byte-identical (threads never changes rendered bytes).
     let remined = c
-        .get(&format!("/describe/{}?threads=2", percent_encode(&iri)))
+        .get(&format!("/v1/describe/{}?threads=2", percent_encode(&iri)))
         .unwrap();
     assert_eq!(remined.header("x-remi-cache"), Some("miss"));
     assert_eq!(remined.body, before.body);
@@ -336,7 +336,7 @@ fn concurrent_ingest_vs_describe_over_http() {
                 let mut c = Client::connect(addr).unwrap();
                 for i in 0..ingests {
                     let body = format!("<e:hammer_{w}_{i}> <p:hammered> <e:hammerBatch_{w}> .\n");
-                    let r = c.post("/ingest", &body).unwrap();
+                    let r = c.post("/v1/ingest", &body).unwrap();
                     assert_eq!(r.status, 200, "{}", r.body);
                 }
             });
@@ -348,7 +348,7 @@ fn concurrent_ingest_vs_describe_over_http() {
                 for i in 0..40 {
                     let iri = &iris[(r + i) % iris.len()];
                     let resp = c
-                        .get(&format!("/describe/{}", percent_encode(iri)))
+                        .get(&format!("/v1/describe/{}", percent_encode(iri)))
                         .unwrap();
                     assert_eq!(resp.status, 200, "{iri}: {}", resp.body);
                     // A torn snapshot would surface as a 500 or a
@@ -387,17 +387,17 @@ fn concurrent_ingest_vs_describe_over_http() {
     // Describe twice on the final generation: the second must hit,
     // proving purges never evict the live generation.
     let a = c
-        .get(&format!("/describe/{}", percent_encode(&iris[0])))
+        .get(&format!("/v1/describe/{}", percent_encode(&iris[0])))
         .unwrap();
     let b = c
-        .get(&format!("/describe/{}", percent_encode(&iris[0])))
+        .get(&format!("/v1/describe/{}", percent_encode(&iris[0])))
         .unwrap();
     assert_eq!(b.header("x-remi-cache"), Some("hit"));
     assert_eq!(a.body, b.body);
     // And ingesting one more batch purges exactly the entries of the
     // now-dead generation (at least the one we just cached).
     let r = c
-        .post("/ingest", "<e:final_probe> <p:hammered> <e:final> .\n")
+        .post("/v1/ingest", "<e:final_probe> <p:hammered> <e:final> .\n")
         .unwrap();
     assert_eq!(r.status, 200);
     assert!(

@@ -59,7 +59,7 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
         for iri in &iris {
             // Cold: mined on demand.
             let cold = client
-                .get(&format!("/describe/{}", percent_encode(iri)))
+                .get(&format!("/v1/describe/{}", percent_encode(iri)))
                 .unwrap();
             assert_eq!(cold.status, 200, "{iri}: {}", cold.body);
             assert_eq!(cold.header("x-remi-cache"), Some("miss"), "{iri}");
@@ -69,14 +69,14 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
 
             // Warm: served from the cache, byte-identical.
             let warm = client
-                .get(&format!("/describe/{}", percent_encode(iri)))
+                .get(&format!("/v1/describe/{}", percent_encode(iri)))
                 .unwrap();
             assert_eq!(warm.header("x-remi-cache"), Some("hit"), "{iri}");
             assert_eq!(warm.body, cold.body, "cache changed bytes for {iri}");
 
             // Summarize: same contract.
             let summary = client
-                .get(&format!("/summarize/{}?k=4", percent_encode(iri)))
+                .get(&format!("/v1/summarize/{}?k=4", percent_encode(iri)))
                 .unwrap();
             assert_eq!(summary.status, 200, "{iri}: {}", summary.body);
             let direct = summarize_body(&kb, iri, 4, "remi", None).unwrap();
@@ -106,28 +106,28 @@ fn backend_query_param_is_transparent() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     let native = client
-        .get(&format!("/describe/{}", percent_encode(iri)))
+        .get(&format!("/v1/describe/{}", percent_encode(iri)))
         .unwrap();
     assert_eq!(native.status, 200);
     // Succinct answers from the cache (same request fingerprint) — force a
     // different k to bypass it and actually exercise the other layout.
     let succinct = client
         .get(&format!(
-            "/describe/{}?backend=succinct&k=2",
+            "/v1/describe/{}?backend=succinct&k=2",
             percent_encode(iri)
         ))
         .unwrap();
     assert_eq!(succinct.status, 200, "{}", succinct.body);
     let csr = client
         .get(&format!(
-            "/describe/{}?backend=csr&k=2",
+            "/v1/describe/{}?backend=csr&k=2",
             percent_encode(iri)
         ))
         .unwrap();
     // k=2 was cached by the succinct request; bodies must match anyway.
     assert_eq!(succinct.body, csr.body);
 
-    let stats = client.get("/stats").unwrap();
+    let stats = client.get("/v1/stats").unwrap();
     assert!(stats.body.contains("\"succinct\""), "{}", stats.body);
     server.shutdown();
 }
@@ -153,7 +153,7 @@ fn batched_describe_matches_individual_gets() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let batch = client.post("/describe", &payload).unwrap();
+    let batch = client.post("/v1/describe", &payload).unwrap();
     assert_eq!(batch.status, 200, "{}", batch.body);
     assert!(
         batch
@@ -165,7 +165,7 @@ fn batched_describe_matches_individual_gets() {
 
     for iri in &iris {
         let single = client
-            .get(&format!("/describe/{}", percent_encode(iri)))
+            .get(&format!("/v1/describe/{}", percent_encode(iri)))
             .unwrap();
         assert_eq!(
             single.header("x-remi-cache"),
@@ -178,10 +178,39 @@ fn batched_describe_matches_individual_gets() {
         );
     }
 
+    // A batch with non-default parameters seeds the same cache keys that
+    // a GET with those parameters reads.
+    let payload = format!(
+        "{{\"entities\":[{}],\"k\":2,\"threads\":1}}",
+        iris.iter()
+            .map(|i| remi_serve::json::escape(i))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let batch = client.post("/v1/describe", &payload).unwrap();
+    assert_eq!(batch.status, 200, "{}", batch.body);
+    for iri in &iris {
+        let single = client
+            .get(&format!(
+                "/v1/describe/{}?k=2&threads=1",
+                percent_encode(iri)
+            ))
+            .unwrap();
+        assert_eq!(
+            single.header("x-remi-cache"),
+            Some("hit"),
+            "k=2 batch must prime {iri}"
+        );
+        assert!(
+            batch.body.contains(&single.body),
+            "k=2 batch body lacks the GET body for {iri}"
+        );
+    }
+
     // Unknown entities inside a batch degrade to an embedded error, not a
     // failed batch.
     let partial = client
-        .post("/describe", "{\"entities\":[\"e:NoSuchEntity\"]}")
+        .post("/v1/describe", "{\"entities\":[\"e:NoSuchEntity\"]}")
         .unwrap();
     assert_eq!(partial.status, 200);
     assert!(
@@ -192,8 +221,8 @@ fn batched_describe_matches_individual_gets() {
     server.shutdown();
 }
 
-/// `POST /query` answers exactly the library rendering, cold and cached,
-/// on both backends — and the `/v1` spelling shares the cache entry.
+/// `POST /v1/query` answers exactly the library rendering, cold and
+/// cached, on both backends.
 #[test]
 fn query_endpoint_is_cached_and_byte_identical_to_library_output() {
     let synth = world();
@@ -223,22 +252,16 @@ fn query_endpoint_is_cached_and_byte_identical_to_library_output() {
         );
         let mut client = Client::connect(server.addr()).unwrap();
 
-        let cold = client.post("/query", &payload).unwrap();
+        let cold = client.post("/v1/query", &payload).unwrap();
         assert_eq!(cold.status, 200, "{}", cold.body);
         assert_eq!(cold.header("x-remi-cache"), Some("miss"));
         let direct = query_body(&kb, &patterns, 5, None).unwrap();
         assert_eq!(cold.body, direct, "query on {backend}");
         assert!(cold.body.contains("\"truncated\":true"), "{}", cold.body);
 
-        let warm = client.post("/query", &payload).unwrap();
+        let warm = client.post("/v1/query", &payload).unwrap();
         assert_eq!(warm.header("x-remi-cache"), Some("hit"));
         assert_eq!(warm.body, cold.body, "cache changed bytes");
-
-        // The canonical /v1 path routes to the same handler and the same
-        // cache entry (the key is path-independent).
-        let v1 = client.post("/v1/query", &payload).unwrap();
-        assert_eq!(v1.header("x-remi-cache"), Some("hit"));
-        assert_eq!(v1.body, cold.body, "/v1/query diverged");
 
         bodies.push(cold.body);
         server.shutdown();
@@ -246,29 +269,39 @@ fn query_endpoint_is_cached_and_byte_identical_to_library_output() {
     assert_eq!(bodies[0], bodies[1], "backends disagree on /query");
 }
 
-/// Every route answers under its `/v1/...` spelling with the same bytes
-/// as the legacy unprefixed alias.
+/// Every route has one spelling, `/v1/…`: the legacy unprefixed paths,
+/// a bare `/v1` and another version prefix match no route, while a known
+/// `/v1` path under the wrong method still answers `405`.
 #[test]
-fn v1_prefix_aliases_every_route() {
+fn only_v1_paths_are_routes() {
     let synth = world();
     let iri = &target_iris(&synth)[0];
     let mut server = boot(synth.kb.clone(), ServeConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
 
+    let describe = format!("/describe/{}", percent_encode(iri));
+    let summarize = format!("/summarize/{}?k=3", percent_encode(iri));
     for path in [
-        "/healthz".to_string(),
-        format!("/describe/{}", percent_encode(iri)),
-        format!("/summarize/{}?k=3", percent_encode(iri)),
+        "/healthz",
+        "/stats",
+        "/metrics",
+        "/debug/events",
+        describe.as_str(),
+        summarize.as_str(),
     ] {
-        let legacy = client.get(&path).unwrap();
-        let versioned = client.get(&format!("/v1{path}")).unwrap();
-        assert_eq!(legacy.status, 200, "{path}: {}", legacy.body);
-        assert_eq!(versioned.status, 200, "/v1{path}: {}", versioned.body);
-        assert_eq!(legacy.body, versioned.body, "alias diverged for {path}");
+        assert_eq!(client.get(&format!("/v1{path}")).unwrap().status, 200);
+        let legacy = client.get(path).unwrap();
+        assert_eq!(legacy.status, 404, "{path}: {}", legacy.body);
     }
-    // /v1 alone is not a route, and a fake version prefix is not stripped.
+    for path in ["/describe", "/ingest", "/query"] {
+        assert_eq!(client.post(path, "{}").unwrap().status, 404, "{path}");
+    }
     assert_eq!(client.get("/v1").unwrap().status, 404);
     assert_eq!(client.get("/v2/healthz").unwrap().status, 404);
+
+    let wrong = client.get("/v1/ingest").unwrap();
+    assert_eq!(wrong.status, 405, "{}", wrong.body);
+    assert_eq!(wrong.header("allow"), Some("POST"));
     server.shutdown();
 }
 
@@ -281,38 +314,38 @@ fn error_statuses_are_mapped() {
 
     let mut c = Client::connect(addr).unwrap();
     assert_eq!(c.get("/no/such/route").unwrap().status, 404);
-    assert_eq!(c.get("/describe/e:NoSuchEntity").unwrap().status, 404);
-    assert_eq!(c.get("/describe/e:x?k=zero").unwrap().status, 400);
-    assert_eq!(c.get("/describe/e:x?backend=flat").unwrap().status, 400);
-    assert_eq!(c.post("/healthz", "{}").unwrap().status, 405);
-    assert_eq!(c.get("/describe").unwrap().status, 405);
-    assert_eq!(c.post("/describe", "not json").unwrap().status, 400);
+    assert_eq!(c.get("/v1/describe/e:NoSuchEntity").unwrap().status, 404);
+    assert_eq!(c.get("/v1/describe/e:x?k=zero").unwrap().status, 400);
+    assert_eq!(c.get("/v1/describe/e:x?backend=flat").unwrap().status, 400);
+    assert_eq!(c.post("/v1/healthz", "{}").unwrap().status, 405);
+    assert_eq!(c.get("/v1/describe").unwrap().status, 405);
+    assert_eq!(c.post("/v1/describe", "not json").unwrap().status, 400);
     assert_eq!(
-        c.post("/describe", "{\"entities\":[]}").unwrap().status,
+        c.post("/v1/describe", "{\"entities\":[]}").unwrap().status,
         400
     );
 
     // 405s carry an Allow header derived from the route table.
-    let wrong = c.post("/healthz", "{}").unwrap();
+    let wrong = c.post("/v1/healthz", "{}").unwrap();
     assert_eq!(wrong.header("allow"), Some("GET"), "{}", wrong.body);
-    let wrong = c.get("/describe").unwrap();
+    let wrong = c.get("/v1/describe").unwrap();
     assert_eq!(wrong.header("allow"), Some("POST"), "{}", wrong.body);
 
     // Parameter failures use the {"error": …, "param": …} envelope.
-    let bad = c.get("/describe/e:x?k=zero").unwrap();
+    let bad = c.get("/v1/describe/e:x?k=zero").unwrap();
     assert!(bad.body.contains("\"param\":\"k\""), "{}", bad.body);
-    let bad = c.get("/describe/e:x?backend=flat").unwrap();
+    let bad = c.get("/v1/describe/e:x?backend=flat").unwrap();
     assert!(bad.body.contains("\"param\":\"backend\""), "{}", bad.body);
 
     // /query error mapping: malformed JSON, bad patterns, bad limit.
-    assert_eq!(c.get("/query").unwrap().status, 405);
-    assert_eq!(c.post("/query", "not json").unwrap().status, 400);
-    let bad = c.post("/query", "{\"patterns\":[]}").unwrap();
+    assert_eq!(c.get("/v1/query").unwrap().status, 405);
+    assert_eq!(c.post("/v1/query", "not json").unwrap().status, 400);
+    let bad = c.post("/v1/query", "{\"patterns\":[]}").unwrap();
     assert_eq!(bad.status, 400);
     assert!(bad.body.contains("\"param\":\"patterns\""), "{}", bad.body);
     let bad = c
         .post(
-            "/query",
+            "/v1/query",
             "{\"patterns\":[{\"s\":\"?s\",\"p\":\"p:x\",\"o\":\"?o\"}],\"limit\":0}",
         )
         .unwrap();
@@ -329,7 +362,7 @@ fn error_statuses_are_mapped() {
     let mut big = Client::connect(addr).unwrap();
     big.send_raw(
         format!(
-            "POST /describe HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            "POST /v1/describe HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             remi_serve::http::MAX_BODY_BYTES + 1
         )
         .as_bytes(),
@@ -340,7 +373,7 @@ fn error_statuses_are_mapped() {
     // Keep-alive: one connection, several requests, then explicit close.
     let mut ka = Client::connect(addr).unwrap();
     for _ in 0..3 {
-        assert_eq!(ka.get("/healthz").unwrap().status, 200);
+        assert_eq!(ka.get("/v1/healthz").unwrap().status, 200);
     }
     server.shutdown();
 }
@@ -365,13 +398,13 @@ fn load_shedding_answers_503_beyond_the_watermark() {
     let mut holders: Vec<Client> = Vec::new();
     for i in 0..8 {
         let mut c = Client::connect(addr).unwrap();
-        assert_eq!(c.get("/healthz").unwrap().status, 200, "holder {i}");
+        assert_eq!(c.get("/v1/healthz").unwrap().status, 200, "holder {i}");
         holders.push(c);
     }
 
     // The ninth connection is shed at accept time.
     let mut shed = Client::connect(addr).unwrap();
-    let resp = shed.get("/healthz").unwrap();
+    let resp = shed.get("/v1/healthz").unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body);
     assert_eq!(resp.header("retry-after"), Some("1"));
 
@@ -382,7 +415,7 @@ fn load_shedding_answers_503_beyond_the_watermark() {
     let ok = (0..50).any(|_| {
         std::thread::sleep(std::time::Duration::from_millis(20));
         matches!(
-            Client::connect(addr).and_then(|mut c| c.get("/healthz")),
+            Client::connect(addr).and_then(|mut c| c.get("/v1/healthz")),
             Ok(r) if r.status == 200
         )
     });
@@ -400,14 +433,14 @@ fn graceful_shutdown_drains_inflight_connections() {
     let addr = server.addr();
 
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    assert_eq!(client.get("/v1/healthz").unwrap().status, 200);
 
     server.shutdown();
 
     // The listener is gone: either the connect fails or the first request
     // on the fresh connection does.
     let still_up = match Client::connect(addr) {
-        Ok(mut c) => c.get("/healthz").is_ok(),
+        Ok(mut c) => c.get("/v1/healthz").is_ok(),
         Err(_) => false,
     };
     assert!(!still_up, "server still answering after shutdown");
@@ -424,7 +457,7 @@ fn metrics_endpoint_exposes_prometheus_text() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     let ok = client
-        .get(&format!("/describe/{}", percent_encode(iri)))
+        .get(&format!("/v1/describe/{}", percent_encode(iri)))
         .unwrap();
     assert_eq!(ok.status, 200, "{}", ok.body);
 
@@ -470,7 +503,7 @@ fn trace_param_embeds_phase_timings() {
     let iri = &target_iris(&synth)[0];
     let mut server = boot(synth.kb.clone(), ServeConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
-    let path = format!("/describe/{}", percent_encode(iri));
+    let path = format!("/v1/describe/{}", percent_encode(iri));
 
     let plain = client.get(&path).unwrap();
     assert_eq!(plain.status, 200, "{}", plain.body);
@@ -513,10 +546,10 @@ fn slow_request_threshold_counts_and_logs() {
         },
     );
     let mut client = Client::connect(server.addr()).unwrap();
-    assert_eq!(client.get("/healthz").unwrap().status, 200);
-    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    assert_eq!(client.get("/v1/healthz").unwrap().status, 200);
+    assert_eq!(client.get("/v1/healthz").unwrap().status, 200);
 
-    let metrics = client.get("/metrics").unwrap().body;
+    let metrics = client.get("/v1/metrics").unwrap().body;
     let count =
         metric(&metrics, "remi_http_slow_requests_total").expect("slow-request counter exposed");
     assert!(count >= 2, "expected ≥2 slow requests, saw {count}");
@@ -552,13 +585,13 @@ fn explain_param_embeds_plan_trace_and_bypasses_cache() {
         );
         let mut client = Client::connect(server.addr()).unwrap();
 
-        let plain = client.post("/query", &payload).unwrap();
+        let plain = client.post("/v1/query", &payload).unwrap();
         assert_eq!(plain.status, 200, "{}", plain.body);
         assert_eq!(plain.header("x-remi-cache"), Some("miss"));
         assert!(!plain.body.contains("\"explain\""), "{}", plain.body);
 
         // Explain skips the cache probe even though the entry exists…
-        let explained = client.post("/query?explain=1", &payload).unwrap();
+        let explained = client.post("/v1/query?explain=1", &payload).unwrap();
         assert_eq!(explained.status, 200, "{}", explained.body);
         assert_eq!(explained.header("x-remi-cache"), Some("bypass"));
         // …and the body is the plain body plus the trailing explain
@@ -581,13 +614,9 @@ fn explain_param_embeds_plan_trace_and_bypasses_cache() {
 
         // The cache entry was neither read nor replaced: the next plain
         // request hits and its body is still explain-free.
-        let warm = client.post("/query", &payload).unwrap();
+        let warm = client.post("/v1/query", &payload).unwrap();
         assert_eq!(warm.header("x-remi-cache"), Some("hit"));
         assert_eq!(warm.body, plain.body, "explain polluted the cache");
-
-        // The /v1 spelling renders the identical explain body.
-        let v1 = client.post("/v1/query?explain=1", &payload).unwrap();
-        assert_eq!(v1.body, explained.body, "/v1 explain diverged");
 
         explains.push(explained.body);
         server.shutdown();
@@ -629,7 +658,7 @@ fn debug_events_endpoint_exposes_bounded_recorder() {
             "{{\"patterns\":[{{\"s\":\"?s\",\"p\":{},\"o\":\"?o\"}}],\"limit\":{limit}}}",
             remi_serve::json::escape(&pred)
         );
-        assert_eq!(client.post("/query", &payload).unwrap().status, 200);
+        assert_eq!(client.post("/v1/query", &payload).unwrap().status, 200);
     }
 
     let all = client.get("/v1/debug/events").unwrap();
@@ -718,7 +747,7 @@ fn connection_gauge_survives_churn() {
 
     for _ in 0..4 {
         let mut c = Client::connect(addr).unwrap();
-        assert_eq!(c.get("/healthz").unwrap().status, 200);
+        assert_eq!(c.get("/v1/healthz").unwrap().status, 200);
         // Dropping c closes the socket; the server-side sweep decrements
         // the gauge (saturating — a double decrement must not wrap).
     }
@@ -755,7 +784,7 @@ fn cli_serve_round_trip() {
     assert!(banner.contains("serving"), "{banner}");
 
     let mut client = Client::connect(handle.addr()).unwrap();
-    let stats = client.get("/stats").unwrap();
+    let stats = client.get("/v1/stats").unwrap();
     assert_eq!(stats.status, 200);
     // A binary KB file loads into the succinct backend natively.
     assert!(
@@ -770,7 +799,7 @@ fn cli_serve_round_trip() {
         .map(|e| kb.node_key(e).to_string())
         .expect("a describable entity");
     let resp = client
-        .get(&format!("/describe/{}", percent_encode(&iri)))
+        .get(&format!("/v1/describe/{}", percent_encode(&iri)))
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     handle.shutdown();
@@ -809,9 +838,9 @@ fn metrics_registry_counts_every_cache_and_ingest_event() {
     );
     let mut c = Client::connect(server.addr()).unwrap();
 
-    let cold = c.get("/describe/e:Paris").unwrap();
+    let cold = c.get("/v1/describe/e:Paris").unwrap();
     assert_eq!(cold.header("x-remi-cache"), Some("miss"), "{}", cold.body);
-    let warm = c.get("/describe/e:Paris").unwrap();
+    let warm = c.get("/v1/describe/e:Paris").unwrap();
     assert_eq!(warm.header("x-remi-cache"), Some("hit"), "{}", warm.body);
 
     let mut ingests = Vec::new();
@@ -819,7 +848,7 @@ fn metrics_registry_counts_every_cache_and_ingest_event() {
         "<e:Paris> <p:cityIn> <e:France> .\n",
         "<e:Nantes> <p:cityIn> <e:France> .\n<e:Lyon> <p:cityIn> <e:France> .\n",
     ] {
-        let r = c.post("/ingest", batch).unwrap();
+        let r = c.post("/v1/ingest", batch).unwrap();
         assert_eq!(r.status, 200, "{}", r.body);
         ingests.push(r.body);
     }
@@ -861,7 +890,7 @@ fn metrics_registry_counts_every_cache_and_ingest_event() {
     for key in ["hits", "requests", "latency", "phases"] {
         assert!(
             !stats.contains(&format!("\"{key}\":")),
-            "/stats still carries {key:?}: {stats}"
+            "/v1/stats still carries {key:?}: {stats}"
         );
     }
     assert!(stats.contains("\"delta_triples\":0"), "{stats}");
@@ -894,24 +923,24 @@ fn metrics_exposition_has_unique_families_and_series() {
     assert_well_formed(&c.get("/v1/metrics").unwrap().body);
 
     for path in [
-        "/describe/e:Paris",
-        "/describe/e:Paris",
-        "/describe/e:Nowhere",
+        "/v1/describe/e:Paris",
+        "/v1/describe/e:Paris",
+        "/v1/describe/e:Nowhere",
     ] {
         c.get(path).unwrap();
     }
     let r = c
-        .post("/ingest", "<e:Nice> <p:cityIn> <e:France> .\n")
+        .post("/v1/ingest", "<e:Nice> <p:cityIn> <e:France> .\n")
         .unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     let q = c
         .post(
-            "/query",
+            "/v1/query",
             r#"{"patterns":[{"s":"?c","p":"p:cityIn","o":"e:France"}]}"#,
         )
         .unwrap();
     assert_eq!(q.status, 200, "{}", q.body);
-    assert_eq!(c.get("/stats").unwrap().status, 200);
+    assert_eq!(c.get("/v1/stats").unwrap().status, 200);
     let after = c.get("/v1/metrics").unwrap().body;
     assert_well_formed(&after);
     assert_eq!(metric(&after, "remi_cache_hits_total"), Some(1), "{after}");
