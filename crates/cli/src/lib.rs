@@ -384,63 +384,21 @@ pub fn cmd_query(
     Ok(msg)
 }
 
-/// Options for `remi serve`.
-#[derive(Debug, Clone)]
-pub struct ServeOpts {
-    /// Bind address.
-    pub addr: String,
-    /// Storage backend override (`None` keeps the format-native one).
-    pub backend: Option<Backend>,
-    /// Response-cache capacity in entries (0 disables caching).
-    pub cache_entries: usize,
-    /// Admission-control watermark (503 load-shedding beyond it).
-    pub max_inflight: usize,
-    /// Default P-REMI task count per describe request.
-    pub threads: usize,
-    /// Delta-overlay size that triggers background compaction.
-    pub compact_min_delta: usize,
-    /// Log requests slower than this many milliseconds to stderr
-    /// (`None` disables the slow-request log).
-    pub slow_request_ms: Option<u64>,
-    /// Flight-recorder ring capacity in events (bounds
-    /// `GET /v1/debug/events`).
-    pub event_capacity: usize,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        let defaults = remi_serve::ServeConfig::default();
-        ServeOpts {
-            addr: "127.0.0.1:8080".to_string(),
-            backend: None,
-            cache_entries: defaults.cache_entries,
-            max_inflight: defaults.max_inflight,
-            threads: defaults.threads,
-            compact_min_delta: defaults.compact_min_delta,
-            slow_request_ms: defaults.slow_request_ms,
-            event_capacity: defaults.event_capacity,
-        }
-    }
-}
-
-/// `remi serve`: loads the KB once and boots the embedded HTTP service.
-/// Returns the running server handle plus the banner to print; the caller
-/// decides whether to block on [`remi_serve::ServerHandle::wait`] (the
-/// binary does) or to drive and shut it down programmatically (tests do).
-pub fn cmd_serve(path: &Path, opts: &ServeOpts) -> Result<(remi_serve::ServerHandle, String)> {
-    let kb = load_kb(path, 0.01)?;
-    let config = remi_serve::ServeConfig {
-        addr: opts.addr.clone(),
-        backend: opts.backend,
-        cache_entries: opts.cache_entries,
-        max_inflight: opts.max_inflight,
-        threads: opts.threads,
-        compact_min_delta: opts.compact_min_delta,
-        slow_request_ms: opts.slow_request_ms,
-        event_capacity: opts.event_capacity,
-    };
-    let handle = remi_serve::serve(kb, config)
-        .map_err(|e| CliError(format!("cannot serve on {}: {e}", opts.addr)))?;
+/// `remi serve`: loads the KB once (converted to `backend` if given, the
+/// one layout the server answers from) and boots the embedded HTTP
+/// service. Returns the running server handle plus the banner to print;
+/// the caller decides whether to block on
+/// [`remi_serve::ServerHandle::wait`] (the binary does) or to drive and
+/// shut it down programmatically (tests do).
+pub fn cmd_serve(
+    path: &Path,
+    backend: Option<Backend>,
+    config: remi_serve::ServeConfig,
+) -> Result<(remi_serve::ServerHandle, String)> {
+    let kb = load_kb_as(path, 0.01, backend)?;
+    let served = kb.backend();
+    let handle = remi_serve::serve(kb, config.clone())
+        .map_err(|e| CliError(format!("cannot serve on {}: {e}", config.addr)))?;
     let banner = format!(
         "serving {} on http://{} ({} backend, cache {} entries, max-inflight {})\n\
          routes: GET /v1/healthz | GET /v1/stats | GET /v1/metrics | \
@@ -448,9 +406,9 @@ pub fn cmd_serve(path: &Path, opts: &ServeOpts) -> Result<(remi_serve::ServerHan
          GET /v1/summarize/{{entity}} | POST /v1/ingest | POST /v1/query",
         path.display(),
         handle.addr(),
-        opts.backend.map(|b| b.name()).unwrap_or("format-native"),
-        opts.cache_entries,
-        opts.max_inflight,
+        served.name(),
+        config.cache_entries,
+        config.max_inflight,
     );
     Ok((handle, banner))
 }
@@ -540,7 +498,7 @@ SERVING:
   remi serve keeps the KB resident and answers JSON over HTTP/1.1
   (every path lives under /v1/...): GET /v1/healthz, GET /v1/stats,
   GET /v1/metrics (Prometheus text exposition),
-  GET /v1/describe/{entity}?k=&threads=&backend=,
+  GET /v1/describe/{entity}?k=&threads=,
   POST /v1/describe {\"entities\": [...]},
   GET /v1/summarize/{entity}?k=&method=,
   POST /v1/ingest (N-Triples body), POST /v1/query {\"patterns\": [{\"s\": ...,

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use remi_cli::{
     cmd_convert, cmd_describe, cmd_gen, cmd_ingest, cmd_query, cmd_serve, cmd_stats, cmd_summarize,
-    DescribeOpts, ServeOpts, USAGE,
+    DescribeOpts, USAGE,
 };
 use remi_core::LanguageBias;
 
@@ -267,57 +267,62 @@ fn run(args: &[String]) -> Result<Action, Failure> {
             let Some(path) = args.get(1) else {
                 return Err(err("serve takes a KB path"));
             };
-            let mut opts = ServeOpts::default();
+            let mut backend = None;
+            let mut config = remi_serve::ServeConfig {
+                addr: "127.0.0.1:8080".to_string(),
+                ..remi_serve::ServeConfig::default()
+            };
             let mut it = args[2..].iter();
             while let Some(a) = it.next() {
                 let mut value = || it.next().cloned().ok_or_else(|| err("missing flag value"));
                 match a.as_str() {
-                    "--addr" => opts.addr = value()?,
-                    "--backend" => opts.backend = Some(parse_backend_usage(&value()?)?),
+                    "--addr" => config.addr = value()?,
+                    "--backend" => backend = Some(parse_backend_usage(&value()?)?),
                     "--cache-entries" => {
-                        opts.cache_entries = value()?
+                        config.cache_entries = value()?
                             .parse()
                             .map_err(|_| err("--cache-entries takes an int"))?
                     }
                     "--max-inflight" => {
-                        opts.max_inflight = value()?
+                        config.max_inflight = value()?
                             .parse::<usize>()
                             .ok()
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| err("--max-inflight takes a positive int"))?
                     }
                     "--threads" => {
-                        opts.threads = value()?
+                        config.threads = value()?
                             .parse::<usize>()
                             .ok()
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| err("--threads takes a positive int"))?
                     }
                     "--compact-threshold" => {
-                        opts.compact_min_delta = value()?
+                        config.compact_min_delta = value()?
                             .parse::<usize>()
                             .ok()
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| err("--compact-threshold takes a positive int"))?
                     }
                     "--slow-request-ms" => {
-                        opts.slow_request_ms = Some(
+                        config.slow_request_ms = Some(
                             value()?
                                 .parse::<u64>()
                                 .map_err(|_| err("--slow-request-ms takes a millisecond count"))?,
                         )
                     }
                     "--event-capacity" => {
-                        opts.event_capacity = value()?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| err("--event-capacity takes a positive int"))?
+                        config.event_capacity =
+                            value()?
+                                .parse::<usize>()
+                                .ok()
+                                .filter(|&n| n >= 1)
+                                .ok_or_else(|| err("--event-capacity takes a positive int"))?
                     }
                     other => return Err(err(&format!("unknown flag {other}"))),
                 }
             }
-            let (handle, banner) = cmd_serve(&PathBuf::from(path), &opts)?;
+            let (handle, banner) = cmd_serve(&PathBuf::from(path), backend, config)?;
             Ok(Action::Serve(Box::new(handle), banner))
         }
         "query" => {
@@ -496,11 +501,14 @@ mod tests {
             "127.0.0.1:0",
             "--cache-entries",
             "16",
+            "--backend",
+            "csr",
         ]);
         let Ok(Action::Serve(mut handle, banner)) = run(&line) else {
             panic!("serve did not boot");
         };
         assert!(banner.contains("serving"), "{banner}");
+        assert!(banner.contains("(csr backend"), "{banner}");
         let mut c = remi_serve::client::Client::connect(handle.addr()).unwrap();
         assert_eq!(c.get("/v1/healthz").unwrap().status, 200);
         handle.shutdown();

@@ -3,7 +3,7 @@
 //! *"We also envision to relax the unambiguity constraint to mine REs
 //! with exceptions."* An RE-with-exceptions for `T` is an expression
 //! whose bindings are `T ∪ E` for a small exception set `E`; the
-//! description reads "…, except <the members of E>". Coding the
+//! description reads "…, except \<the members of E\>". Coding the
 //! exceptions costs bits too: each exception entity is coded by its rank
 //! in the global prominence ranking, so a nearly-unambiguous expression
 //! built from prominent concepts can beat a convoluted exact one.

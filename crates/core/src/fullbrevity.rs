@@ -1,4 +1,4 @@
-//! Dale's *full brevity* algorithm — the classic RE baseline (§5, [3]).
+//! Dale's *full brevity* algorithm — the classic RE baseline (§5, \[3\]).
 //!
 //! Full brevity performs a breadth-first search over conjunctions of the
 //! target's attributes by increasing length and returns the first

@@ -24,7 +24,7 @@
 //!   root loop.
 //! * [`miner`] — the [`Remi`] facade.
 //! * [`verbalize`] — template-based natural-language rendering.
-//! * [`fullbrevity`] — Dale's full-brevity baseline (§5, [3]).
+//! * [`fullbrevity`] — Dale's full-brevity baseline (§5, \[3\]).
 //! * [`exceptions`] — REs with exceptions (the §6 future-work extension).
 //!
 //! # Example

@@ -12,7 +12,7 @@
 //! 3. before testing an expression, a worker backtracks while the stack's
 //!    cost is at least the incumbent's (Alg. 3 line 6).
 //!
-//! Each subtree runs [`dfs_subtree`], the DFS sequential REMI runs too:
+//! Each subtree runs `search::dfs_subtree`, the DFS sequential REMI runs too:
 //! rule 3 is its pruning bound, rule 2 is part of its stop test, and its
 //! finds go to the shared incumbent (rule 1). This module holds only the
 //! root scheduling and the shared state.

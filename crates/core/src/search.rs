@@ -7,7 +7,7 @@
 //! search *prunes by depth* (abandons descendants) and *prunes sideways*
 //! (abandons more-complex siblings) — the two rules of §3.3.
 //!
-//! [`dfs_subtree`] is the only DFS. Sequential REMI ([`remi_search`]) runs it
+//! `dfs_subtree` is the only DFS. Sequential REMI ([`remi_search`]) runs it
 //! with no pruning bound and a subtree-local best; P-REMI runs it against the
 //! shared incumbent.
 //!

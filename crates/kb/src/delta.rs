@@ -1435,6 +1435,19 @@ mod tests {
     }
 
     #[test]
+    fn content_fingerprint_distinguishes_content_not_backend() {
+        let kb = base_kb();
+        let fp = content_fingerprint(&kb);
+        assert_eq!(
+            fp,
+            content_fingerprint(&kb.clone().with_backend(Backend::Succinct))
+        );
+        let mut b = KbBuilder::new();
+        b.add_iri("e:Paris", "p:capitalOf", "e:Germany");
+        assert_ne!(fp, content_fingerprint(&b.build().unwrap()));
+    }
+
+    #[test]
     fn compaction_preserves_content_and_fingerprint() {
         let live = LiveKb::new(base_kb());
         live.append(vec![

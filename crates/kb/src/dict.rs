@@ -4,7 +4,7 @@
 //! # Segmented layout
 //!
 //! Ids are split into fixed-size ranges of [`Dictionary::SEGMENT_LEN`]
-//! entries. Every full range lives in a *sealed* [`DictSegment`] behind an
+//! entries. Every full range lives in a *sealed* `DictSegment` behind an
 //! `Arc`; only the most recent partial range (the *tail*) is a plain
 //! mutable `Vec`. The interning map mirrors the split: a frozen
 //! `Arc<FxHashMap>` covers exactly the sealed ids, and a small side map

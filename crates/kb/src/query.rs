@@ -383,7 +383,7 @@ pub struct PlanTrace {
 /// indexed binding list — finished by a sorted-merge intersection of
 /// those [`Bindings`] instead of re-enumeration. Enumeration stops after
 /// `limit` rows (`truncated` reports whether it did) and checks `cancel`
-/// cooperatively every [`CANCEL_STRIDE`] steps, so long scans abort
+/// cooperatively every `CANCEL_STRIDE` steps, so long scans abort
 /// promptly under server shutdown or admission pressure.
 pub fn solve_bgp(
     store: &dyn TripleStore,

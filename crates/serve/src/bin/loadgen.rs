@@ -13,9 +13,12 @@
 //! genuinely grows while miners read), and the report splits latency
 //! quantiles per class. `--query-ratio F` does the same with
 //! `POST /v1/query` triple-pattern joins built from the KB's own
-//! predicates, adding a third latency class to the report. Latencies are
-//! folded into [`remi_obs::Histogram`]s — the same instrument the server
-//! records into.
+//! predicates, adding a third latency class to the report. Every client
+//! keeps its own per-class latency samples; they are merged after the run
+//! and reported as exact nearest-rank quantiles.
+//!
+//! `--backend` converts the KB before the server boots: a server answers
+//! from the one layout it was handed.
 //!
 //! `--dump-metrics PATH` writes the run's own `GET /v1/metrics`
 //! exposition to a file for `scripts/metrics_check.py`; `--dump-events
@@ -34,7 +37,6 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use remi_obs::{Histogram, HistogramSnapshot};
 use remi_serve::client::Client;
 use remi_serve::http::percent_encode;
 use remi_serve::{serve, ServeConfig};
@@ -133,20 +135,43 @@ fn ingest_payload(client: usize, seq: usize) -> String {
     )
 }
 
-/// Latency quantile line from a histogram snapshot (nanosecond
-/// observations rendered in µs — the same `remi-obs` bucket estimation
-/// that applies to the server's `/v1/metrics` histograms).
-fn quantile_line(s: &HistogramSnapshot) -> String {
-    if s.count() == 0 {
-        return "n/a".to_string();
+/// One client's request latencies in nanoseconds, per request class.
+#[derive(Default)]
+struct Latencies {
+    reads: Vec<u64>,
+    ingests: Vec<u64>,
+    queries: Vec<u64>,
+}
+
+impl Latencies {
+    fn merge(&mut self, other: Latencies) {
+        self.reads.extend(other.reads);
+        self.ingests.extend(other.ingests);
+        self.queries.extend(other.queries);
     }
+}
+
+/// The nearest-rank `pct`-th percentile of ascending `sorted` samples:
+/// the smallest sample with at least `pct`% of the samples at or below
+/// it. `sorted` must be non-empty.
+fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    let rank = (sorted.len() * pct).div_ceil(100).max(1);
+    sorted[rank - 1]
+}
+
+/// Exact latency quantile line over nanosecond samples, rendered in µs.
+fn quantile_line(samples: &mut [u64]) -> String {
+    samples.sort_unstable();
+    let Some(&max) = samples.last() else {
+        return "n/a".to_string();
+    };
     format!(
         "p50 {}µs  p90 {}µs  p99 {}µs  max {}µs  (n={})",
-        s.p50() / 1_000,
-        s.p90() / 1_000,
-        s.p99() / 1_000,
-        s.max() / 1_000,
-        s.count(),
+        nearest_rank(samples, 50) / 1_000,
+        nearest_rank(samples, 90) / 1_000,
+        nearest_rank(samples, 99) / 1_000,
+        max / 1_000,
+        samples.len(),
     )
 }
 
@@ -213,6 +238,10 @@ fn query_payloads(kb: &remi_kb::KnowledgeBase) -> Vec<String> {
 fn run(argv: &[String]) -> Result<String, String> {
     let args = parse_args(argv)?;
     let kb = load_kb(&args.kb_path)?;
+    let kb = match args.backend {
+        Some(backend) => kb.with_backend(backend),
+        None => kb,
+    };
     let queries = if args.query_ratio > 0.0 {
         let q = query_payloads(&kb);
         if q.is_empty() {
@@ -238,7 +267,6 @@ fn run(argv: &[String]) -> Result<String, String> {
     let mut server = serve(
         kb,
         ServeConfig {
-            backend: args.backend,
             cache_entries: if args.cold { 0 } else { 4096 },
             max_inflight: args.clients.max(64),
             ..ServeConfig::default()
@@ -263,21 +291,15 @@ fn run(argv: &[String]) -> Result<String, String> {
     let total = per_client * args.clients;
     let ratio = args.ingest_ratio;
     let qratio = args.query_ratio;
-    // Per-class latency histograms, shared across clients — `Histogram`
-    // records are relaxed atomics, so every client folds straight in.
-    let reads_hist = Histogram::new();
-    let ingests_hist = Histogram::new();
-    let queries_hist = Histogram::new();
     let t0 = Instant::now();
     // lint:allow(raw-thread-primitive): loadgen clients block on sockets for the whole run — parking them on the shared compute pool would starve the server it is measuring
-    let results: Vec<Result<(), String>> = std::thread::scope(|scope| {
+    let results: Vec<Result<Latencies, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..args.clients)
             .map(|c| {
                 let targets = &targets;
                 let queries = &queries;
-                let (reads_hist, ingests_hist, queries_hist) =
-                    (&reads_hist, &ingests_hist, &queries_hist);
-                scope.spawn(move || -> Result<(), String> {
+                scope.spawn(move || -> Result<Latencies, String> {
+                    let mut lat = Latencies::default();
                     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
                     // Deterministic interleave: accumulate ratio credit
                     // per class, fire one request per whole unit.
@@ -292,7 +314,7 @@ fn run(argv: &[String]) -> Result<String, String> {
                             let r = client
                                 .post("/v1/ingest", &body)
                                 .map_err(|e| format!("/v1/ingest: {e}"))?;
-                            ingests_hist.record(q0.elapsed().as_nanos() as u64);
+                            lat.ingests.push(q0.elapsed().as_nanos() as u64);
                             if r.status != 200 {
                                 return Err(format!(
                                     "/v1/ingest answered {}: {}",
@@ -309,7 +331,7 @@ fn run(argv: &[String]) -> Result<String, String> {
                             let r = client
                                 .post("/v1/query", body)
                                 .map_err(|e| format!("/v1/query: {e}"))?;
-                            queries_hist.record(q0.elapsed().as_nanos() as u64);
+                            lat.queries.push(q0.elapsed().as_nanos() as u64);
                             if r.status != 200 {
                                 return Err(format!("/v1/query answered {}: {}", r.status, r.body));
                             }
@@ -318,12 +340,12 @@ fn run(argv: &[String]) -> Result<String, String> {
                         let t = &targets[(c + i) % targets.len()];
                         let q0 = Instant::now();
                         let r = client.get(t).map_err(|e| format!("{t}: {e}"))?;
-                        reads_hist.record(q0.elapsed().as_nanos() as u64);
+                        lat.reads.push(q0.elapsed().as_nanos() as u64);
                         if r.status != 200 {
                             return Err(format!("{t} answered {}: {}", r.status, r.body));
                         }
                     }
-                    Ok(())
+                    Ok(lat)
                 })
             })
             .collect();
@@ -333,12 +355,10 @@ fn run(argv: &[String]) -> Result<String, String> {
             .collect()
     });
     let elapsed = t0.elapsed();
+    let mut lat = Latencies::default();
     for r in results {
-        r?;
+        lat.merge(r?);
     }
-    let reads = reads_hist.snapshot();
-    let ingests = ingests_hist.snapshot();
-    let queries_snap = queries_hist.snapshot();
 
     let mut stats_client = Client::connect(addr).map_err(|e| e.to_string())?;
     let stats = stats_client.get("/v1/stats").map_err(|e| e.to_string())?;
@@ -357,20 +377,46 @@ fn run(argv: &[String]) -> Result<String, String> {
     let _ = writeln!(
         out,
         "serve-load: {total} requests ({} reads, {} ingests, {} queries), {} clients ({})",
-        reads.count(),
-        ingests.count(),
-        queries_snap.count(),
+        lat.reads.len(),
+        lat.ingests.len(),
+        lat.queries.len(),
         args.clients,
         if args.cold { "cold, cache off" } else { "warm" }
     );
     let _ = writeln!(out, "  throughput:  {throughput:.0} req/s");
-    let _ = writeln!(out, "  read:        {}", quantile_line(&reads));
-    if ingests.count() > 0 {
-        let _ = writeln!(out, "  ingest:      {}", quantile_line(&ingests));
+    let _ = writeln!(out, "  read:        {}", quantile_line(&mut lat.reads));
+    if !lat.ingests.is_empty() {
+        let _ = writeln!(out, "  ingest:      {}", quantile_line(&mut lat.ingests));
     }
-    if queries_snap.count() > 0 {
-        let _ = writeln!(out, "  query:       {}", quantile_line(&queries_snap));
+    if !lat.queries.is_empty() {
+        let _ = writeln!(out, "  query:       {}", quantile_line(&mut lat.queries));
     }
     let _ = writeln!(out, "  server:      {}", stats.body);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearest_rank_quantiles_are_exact() {
+        let samples: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&samples, 50), 50);
+        assert_eq!(nearest_rank(&samples, 90), 90);
+        assert_eq!(nearest_rank(&samples, 99), 99);
+        assert_eq!(nearest_rank(&samples, 100), 100);
+        assert_eq!(nearest_rank(&[7], 50), 7);
+        assert_eq!(nearest_rank(&[7], 99), 7);
+    }
+
+    #[test]
+    fn quantile_line_sorts_and_renders_microseconds() {
+        let mut samples: Vec<u64> = (1..=100).rev().map(|us| us * 1_000).collect();
+        assert_eq!(
+            quantile_line(&mut samples),
+            "p50 50µs  p90 90µs  p99 99µs  max 100µs  (n=100)"
+        );
+        assert_eq!(quantile_line(&mut []), "n/a");
+    }
 }

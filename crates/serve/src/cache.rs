@@ -26,7 +26,7 @@ pub struct CacheKey {
     /// `describe?entity=e:X&exceptions=0&k=1&lang=remi&threads=2`.
     pub request: String,
     /// Fingerprint of the resident KB content (see
-    /// [`kb_fingerprint`](crate::kb_fingerprint)).
+    /// [`remi_kb::content_fingerprint`]).
     pub kb: u64,
 }
 

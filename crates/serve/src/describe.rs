@@ -22,9 +22,7 @@ use crate::{error_body, resolve, ApiError, AppState, Response, Trace};
 /// Hard cap on one batched describe.
 const MAX_BATCH: usize = 64;
 
-/// The canonical cache key of one describe. The backend is deliberately
-/// absent: both backends render byte-identical bodies, so they share
-/// cache entries.
+/// The canonical cache key of one describe.
 fn request_key(iri: &str, k: usize, threads: usize) -> String {
     format!("describe?entity={iri}&k={k}&threads={threads}")
 }
@@ -106,15 +104,13 @@ fn describe_many(
         .collect();
     trace.span.phase("cache");
     if slots.iter().any(|(slot, _)| slot.is_none()) {
-        // kb_for runs only on a miss: a cache hit must not materialise
-        // the lazily-built secondary backend.
-        let kb = state.kb_for(snap, params.backend);
+        let kb = &snap.kb;
         // Resolve before building the miner, so a batch of unknown
         // entities never pays for one.
         let mut jobs = Vec::new();
         for ((slot, _), &iri) in slots.iter_mut().zip(iris) {
             if slot.is_none() {
-                match resolve(&kb, iri) {
+                match resolve(kb, iri) {
                     Ok(target) => jobs.push((slot, iri, target)),
                     Err(e) => *slot = Some(Err(e)),
                 }
@@ -123,7 +119,7 @@ fn describe_many(
         if !jobs.is_empty() {
             // One miner shared by every miss; each mines as its own pool
             // task, the first on this worker (a GET adds no pool hop).
-            let remi = Remi::new(&kb, mining_config(threads));
+            let remi = Remi::new(kb, mining_config(threads));
             let remi = &remi;
             remi_pool::global().scope(|scope| {
                 let mut jobs = jobs.into_iter();
@@ -180,10 +176,10 @@ pub(crate) fn handle_describe_one(
     }
 }
 
-/// `POST /v1/describe`: `{"entities": [...], "k"?, "threads"?,
-/// "backend"?}` answers `{"count", "results"}` with one body per
-/// requested slot, in order. Duplicate entities mine once, and an entity
-/// that fails embeds its error body instead of failing the batch.
+/// `POST /v1/describe`: `{"entities": [...], "k"?, "threads"?}` answers
+/// `{"count", "results"}` with one body per requested slot, in order.
+/// Duplicate entities mine once, and an entity that fails embeds its
+/// error body instead of failing the batch.
 pub(crate) fn handle_describe_batch(
     state: &AppState,
     snap: &Snapshot,

@@ -388,11 +388,11 @@ mod tests {
 
     #[test]
     fn parses_query_and_percent_escapes() {
-        let r = parse_one(b"GET /describe/e%3APerson_0?k=3&backend=csr&x=a+b HTTP/1.1\r\n\r\n")
+        let r = parse_one(b"GET /describe/e%3APerson_0?k=3&method=remi&x=a+b HTTP/1.1\r\n\r\n")
             .unwrap();
         assert_eq!(r.path, "/describe/e:Person_0");
         assert_eq!(r.query_param("k"), Some("3"));
-        assert_eq!(r.query_param("backend"), Some("csr"));
+        assert_eq!(r.query_param("method"), Some("remi"));
         assert_eq!(r.query_param("x"), Some("a b"));
     }
 

@@ -2,12 +2,12 @@
 //! miner into a queryable online system.
 //!
 //! The batch tools re-load the KB on every invocation; this crate keeps a
-//! [`KnowledgeBase`] resident (either storage backend), answers
-//! describe/summarize queries concurrently, and caches rendered responses
-//! so repeated queries skip mining entirely. Everything is hand-rolled on
-//! `std::net` — the build image has no async runtime and no registry —
-//! and all concurrency runs as scoped tasks on the process-wide
-//! [`remi_pool::global`] executor:
+//! [`KnowledgeBase`] resident (in the storage backend it was handed),
+//! answers describe/summarize queries concurrently, and caches rendered
+//! responses so repeated queries skip mining entirely. Everything is
+//! hand-rolled on `std::net` — the build image has no async runtime and
+//! no registry — and all concurrency runs as scoped tasks on the
+//! process-wide [`remi_pool::global`] executor:
 //!
 //! * [`http`] — incremental request parser + response writer, with hard
 //!   bounds on head/body sizes (400/404/405/413/500/503 mapping).
@@ -37,17 +37,19 @@
 //! | `GET /v1/healthz`            | liveness (exempt from request shedding)  |
 //! | `GET /v1/stats`              | KB, epoch, backend and config facts      |
 //! | `GET /v1/metrics`            | Prometheus text exposition (`remi-obs`)  |
-//! | `GET /v1/describe/{entity}`  | best RE(s); `?k=&threads=&backend=`      |
+//! | `GET /v1/describe/{entity}`  | best RE(s); `?k=&threads=`               |
 //! | `POST /v1/describe`          | batched entity list, one shared miner    |
 //! | `GET /v1/debug/events`       | flight-recorder tail (`?channel=&…`)     |
-//! | `GET /v1/summarize/{entity}` | top-k facts; `?k=&method=&backend=`      |
+//! | `GET /v1/summarize/{entity}` | top-k facts; `?k=&method=`               |
 //! | `POST /v1/ingest`            | append N-Triples (atomic epoch publish)  |
 //! | `POST /v1/query`             | triple patterns + limit → variable rows  |
 //!
 //! Mining and query responses are deterministic byte-for-byte: the same
-//! request on the same KB renders the same body whether it was computed,
-//! cached (the `X-Remi-Cache` header says which), or answered by the CSR
-//! or the succinct backend.
+//! request on the same KB renders the same body whether it was computed or
+//! cached (the `X-Remi-Cache` header says which), and a CSR server answers
+//! exactly what a succinct one does. A server answers from one layout,
+//! the one of the KB it was handed; a `backend` request parameter is
+//! unknown and ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,7 +84,7 @@ use remi_obs::{
 
 use remi_kb::delta::Snapshot;
 use remi_kb::pagerank::{pagerank, PageRank, PageRankConfig};
-use remi_kb::{Backend, CompactionPolicy, KnowledgeBase, LiveKb, NodeId};
+use remi_kb::{CompactionPolicy, KnowledgeBase, LiveKb, NodeId};
 use remi_pool::CancelToken;
 
 use cache::{CacheKey, ResponseCache};
@@ -106,10 +108,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Storage backend to serve from (`None` keeps the KB's current one).
-    /// The other backend is materialised lazily when a request asks for it
-    /// with `?backend=`.
-    pub backend: Option<Backend>,
     /// Response-cache capacity in entries (0 disables caching).
     pub cache_entries: usize,
     /// Admission-control watermark: in-flight mining requests beyond this
@@ -141,7 +139,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            backend: None,
             cache_entries: 4096,
             max_inflight: 64,
             threads: remi_pool::configured_threads(),
@@ -150,15 +147,6 @@ impl Default for ServeConfig {
             event_capacity: 1024,
         }
     }
-}
-
-/// Fingerprint of a KB's logical content (re-exported from
-/// [`remi_kb::content_fingerprint`]). Two KBs holding the same triples
-/// fingerprint identically regardless of storage backend, so cached
-/// responses are shared across backends and survive compaction; every
-/// ingested batch rotates the value.
-pub fn kb_fingerprint(kb: &KnowledgeBase) -> u64 {
-    remi_kb::content_fingerprint(kb)
 }
 
 // ---------------------------------------------------------------------------
@@ -368,14 +356,6 @@ pub(crate) struct AppState {
     /// The resident KB, now appendable: `POST /v1/ingest` publishes new
     /// epochs, every request pins one [`Snapshot`].
     pub(crate) live: LiveKb,
-    primary: Backend,
-    /// The other layout, converted lazily on `?backend=` use. Keyed by
-    /// `(epoch, fingerprint)`: validity is by *fingerprint* (equal
-    /// fingerprint ⟹ equal content, so the conversion survives
-    /// compactions, which bump the epoch but not the fingerprint), while
-    /// the epoch orders entries so an old-epoch straggler never evicts
-    /// the current conversion.
-    converted: Mutex<Option<(u64, u64, Arc<KnowledgeBase>)>>,
     cache: ResponseCache,
     metrics: Metrics,
     /// The one store of every count `/v1/metrics` renders: the HTTP cells
@@ -393,8 +373,12 @@ pub(crate) struct AppState {
     /// file descriptors and parser buffers.
     max_conns: u64,
     pub(crate) default_threads: usize,
-    /// PageRank for `linksum`, computed on demand; same keying as
-    /// `converted`.
+    /// PageRank for `linksum`, computed on demand. Keyed by
+    /// `(epoch, fingerprint)`: validity is by *fingerprint* (equal
+    /// fingerprint ⟹ equal content, so the ranks survive compactions,
+    /// which bump the epoch but not the fingerprint), while the epoch
+    /// orders entries so an old-epoch straggler never evicts the current
+    /// ranks.
     ranks: Mutex<Option<(u64, u64, Arc<PageRank>)>>,
     /// The process-wide flight recorder: the planner, the live KB, the
     /// pool, and the HTTP layer all emit into this one bounded ring;
@@ -417,33 +401,10 @@ pub(crate) struct AppState {
 }
 
 impl AppState {
-    /// The KB answering this request: the pinned snapshot for the primary
-    /// layout, or the per-epoch lazily-converted twin for `?backend=`.
-    /// A request pinned on an *older* epoch converts for itself without
-    /// touching the slot — stragglers must not evict the conversion the
-    /// current epoch's requests share.
-    pub(crate) fn kb_for(&self, snap: &Snapshot, backend: Option<Backend>) -> Arc<KnowledgeBase> {
-        let backend = backend.unwrap_or(self.primary);
-        if backend == self.primary {
-            return Arc::clone(&snap.kb);
-        }
-        let mut slot = self.converted.lock();
-        if let Some((epoch, fp, kb)) = &*slot {
-            if *fp == snap.fingerprint {
-                return Arc::clone(kb);
-            }
-            if *epoch > snap.epoch {
-                drop(slot);
-                return Arc::new(snap.kb.as_ref().clone().with_backend(backend));
-            }
-        }
-        let kb = Arc::new(snap.kb.as_ref().clone().with_backend(backend));
-        *slot = Some((snap.epoch, snap.fingerprint, Arc::clone(&kb)));
-        kb
-    }
-
-    /// PageRank over the pinned snapshot (cached by content fingerprint,
-    /// same straggler rule as [`AppState::kb_for`]).
+    /// PageRank over the pinned snapshot, cached by content fingerprint.
+    /// A request pinned on an *older* epoch computes for itself without
+    /// touching the slot: stragglers must not evict the ranks the current
+    /// epoch's requests share.
     fn ranks_for(&self, snap: &Snapshot) -> Arc<PageRank> {
         let mut slot = self.ranks.lock();
         if let Some((epoch, fp, pr)) = &*slot {
@@ -469,16 +430,6 @@ impl AppState {
     pub(crate) fn seed(&self, key: CacheKey, body: &str) {
         if self.live.snapshot().fingerprint == key.kb {
             self.cache.put(key, Arc::from(body));
-        }
-    }
-
-    /// The converted twin, but only if one is already resident for this
-    /// snapshot's content — `/v1/stats` must never pay for a conversion.
-    fn resident_converted(&self, snap: &Snapshot) -> Option<Arc<KnowledgeBase>> {
-        let slot = self.converted.lock();
-        match &*slot {
-            Some((_, fp, kb)) if *fp == snap.fingerprint => Some(Arc::clone(kb)),
-            _ => None,
         }
     }
 }
@@ -636,24 +587,12 @@ pub(crate) fn handle_stats(
     _trace: &mut Trace<'_>,
 ) -> Response {
     let kb = &snap.kb;
-    let mut residents: Vec<(Backend, Arc<KnowledgeBase>)> =
-        vec![(state.primary, Arc::clone(&snap.kb))];
-    if let Some(converted) = state.resident_converted(snap) {
-        let other = match state.primary {
-            Backend::Csr => Backend::Succinct,
-            Backend::Succinct => Backend::Csr,
-        };
-        residents.push((other, converted));
-    }
-    let store_bytes = residents
-        .into_iter()
-        .map(|(b, kb)| {
-            JsonObject::new()
-                .field_str("backend", b.name())
-                .field_u64("bytes", kb.store_memory().total() as u64)
-                .finish()
-        })
-        .collect::<Vec<_>>();
+    // One layout per server: `resident` keeps its list shape but always
+    // holds exactly this one entry.
+    let resident = JsonObject::new()
+        .field_str("backend", kb.backend().name())
+        .field_u64("bytes", kb.store_memory().total() as u64)
+        .finish();
     let body = JsonObject::new()
         .field_raw(
             "kb",
@@ -683,8 +622,8 @@ pub(crate) fn handle_stats(
         .field_raw(
             "backends",
             &JsonObject::new()
-                .field_str("primary", state.primary.name())
-                .field_raw("resident", &json::array_raw(store_bytes))
+                .field_str("primary", kb.backend().name())
+                .field_raw("resident", &json::array_raw([resident]))
                 .finish(),
         )
         .field_raw(
@@ -793,13 +732,7 @@ pub(crate) fn handle_summarize(
             } else {
                 None
             };
-            summarize_body(
-                &state.kb_for(snap, params.backend),
-                iri,
-                k,
-                &method,
-                ranks.as_deref(),
-            )
+            summarize_body(&snap.kb, iri, k, &method, ranks.as_deref())
         },
     )
 }
@@ -1352,19 +1285,14 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Boots a server over `kb`: binds `config.addr`, converts the KB to the
-/// configured backend if needed, wraps it for live ingestion,
-/// fingerprints it, and starts the accept loop on a dedicated thread
-/// (connections run on the shared pool).
+/// Boots a server over `kb`: binds `config.addr`, wraps the KB for live
+/// ingestion, fingerprints it, and starts the accept loop on a dedicated
+/// thread (connections run on the shared pool). The server answers from
+/// `kb`'s storage backend; callers that want the other layout convert
+/// before booting ([`KnowledgeBase::with_backend`]).
 pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let backend = config.backend.unwrap_or_else(|| kb.backend());
-    let kb = if kb.backend() == backend {
-        kb
-    } else {
-        kb.with_backend(backend)
-    };
     // The server treats `compact_min_delta` as an absolute trigger (no
     // relative fraction): operators size it to their KB, and the fold
     // runs off the request path anyway.
@@ -1432,8 +1360,6 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
     let http_events = events::HttpEvents::new(&events);
     let state = Arc::new(AppState {
         live,
-        primary: backend,
-        converted: Mutex::new(None),
         cache,
         metrics,
         registry,
@@ -1475,19 +1401,6 @@ mod tests {
         b.add_iri("e:Lyon", "p:cityIn", "e:France");
         b.add_iri("e:Marseille", "p:cityIn", "e:France");
         b.build().unwrap()
-    }
-
-    #[test]
-    fn kb_fingerprint_distinguishes_content_not_backend() {
-        let kb = tiny_kb();
-        let fp = kb_fingerprint(&kb);
-        assert_eq!(
-            fp,
-            kb_fingerprint(&kb.clone().with_backend(Backend::Succinct))
-        );
-        let mut b = remi_kb::KbBuilder::new();
-        b.add_iri("e:Paris", "p:capitalOf", "e:Germany");
-        assert_ne!(fp, kb_fingerprint(&b.build().unwrap()));
     }
 
     #[test]

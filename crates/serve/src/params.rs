@@ -1,15 +1,15 @@
 //! The typed request-parameter extractor shared by every endpoint.
 //!
 //! Before this module each handler re-parsed and re-clamped its own `k`,
-//! `threads`, `backend`, `method` (and now `limit`). [`QueryParams`] is
+//! `threads`, `method` (and now `limit`). [`QueryParams`] is
 //! the one validation path: endpoint defaults come from
 //! [`QueryParams::defaults`] (adjusted with [`QueryParams::with_k`]),
 //! URL query strings overlay through [`QueryParams::merge_query`], JSON
 //! bodies through [`QueryParams::merge_json`], and every failure is an
 //! [`ApiError`] tagged with the offending parameter name — rendered as
-//! the consistent `{"error": …, "param": …}` envelope.
-
-use remi_kb::Backend;
+//! the consistent `{"error": …, "param": …}` envelope. A parameter this
+//! module does not name (`backend`, say: a server answers from one layout)
+//! is ignored.
 
 use crate::http::Request;
 use crate::json::Value;
@@ -34,8 +34,6 @@ pub(crate) struct QueryParams {
     pub k: usize,
     /// P-REMI task count (`1..=MAX_THREADS`).
     pub threads: usize,
-    /// Requested storage backend (`None` = the server's primary).
-    pub backend: Option<Backend>,
     /// Summarisation method (validated downstream, where the method
     /// dispatch lives).
     pub method: String,
@@ -49,7 +47,6 @@ impl QueryParams {
         QueryParams {
             k: 1,
             threads: default_threads,
-            backend: None,
             method: "remi".to_string(),
             limit: DEFAULT_QUERY_LIMIT,
         }
@@ -72,9 +69,6 @@ impl QueryParams {
         if let Some(raw) = req.query_param("limit") {
             self.limit = clamp_int("limit", raw.parse().ok(), MAX_QUERY_LIMIT)?;
         }
-        if let Some(raw) = req.query_param("backend") {
-            self.backend = Some(parse_backend(raw)?);
-        }
         if let Some(raw) = req.query_param("method") {
             self.method = raw.to_string();
         }
@@ -92,12 +86,6 @@ impl QueryParams {
         if let Some(v) = doc.get("limit") {
             self.limit = clamp_int("limit", v.as_usize(), MAX_QUERY_LIMIT)?;
         }
-        if let Some(v) = doc.get("backend") {
-            let Some(raw) = v.as_str() else {
-                return Err(ApiError::bad_param("backend", "backend must be a string"));
-            };
-            self.backend = Some(parse_backend(raw)?);
-        }
         Ok(self)
     }
 }
@@ -112,15 +100,6 @@ fn clamp_int(name: &'static str, value: Option<usize>, max: usize) -> Result<usi
             format!("{name} must be an integer in 1..={max}"),
         )),
     }
-}
-
-fn parse_backend(raw: &str) -> Result<Backend, ApiError> {
-    Backend::parse(raw).ok_or_else(|| {
-        ApiError::bad_param(
-            "backend",
-            format!("unknown backend {raw:?} (expected csr or succinct)"),
-        )
-    })
 }
 
 #[cfg(test)]
@@ -141,18 +120,15 @@ mod tests {
     #[test]
     fn query_string_overlays_and_clamps() {
         let p = QueryParams::defaults(4)
-            .merge_query(&request(
-                "/describe/e:X?k=3&threads=2&limit=5&backend=succinct",
-            ))
+            .merge_query(&request("/describe/e:X?k=3&threads=2&limit=5"))
             .unwrap();
         assert_eq!((p.k, p.threads, p.limit), (3, 2, 5));
-        assert_eq!(p.backend, Some(Backend::Succinct));
 
+        // Parameters the extractor does not name are ignored.
         let defaults = QueryParams::defaults(4)
-            .merge_query(&request("/x"))
+            .merge_query(&request("/x?backend=flat&x=1"))
             .unwrap();
         assert_eq!((defaults.k, defaults.threads, defaults.limit), (1, 4, 100));
-        assert_eq!(defaults.backend, None);
         assert_eq!(defaults.method, "remi");
     }
 
@@ -171,11 +147,6 @@ mod tests {
                 "limit",
                 "limit must be an integer in 1..=1000",
             ),
-            (
-                "/x?backend=flat",
-                "backend",
-                "unknown backend \"flat\" (expected csr or succinct)",
-            ),
         ] {
             let err = QueryParams::defaults(1)
                 .merge_query(&request(target))
@@ -188,14 +159,13 @@ mod tests {
 
     #[test]
     fn json_body_overlays_with_the_same_clamp() {
-        let doc = json::parse(br#"{"k": 2, "threads": 8, "limit": 10, "backend": "csr"}"#).unwrap();
+        let doc = json::parse(br#"{"k": 2, "threads": 8, "limit": 10}"#).unwrap();
         let p = QueryParams::defaults(4).merge_json(&doc).unwrap();
         assert_eq!((p.k, p.threads, p.limit), (2, 8, 10));
-        assert_eq!(p.backend, Some(Backend::Csr));
 
-        let bad = json::parse(br#"{"backend": 7}"#).unwrap();
+        let bad = json::parse(br#"{"limit": "ten"}"#).unwrap();
         let err = QueryParams::defaults(4).merge_json(&bad).unwrap_err();
-        assert_eq!(err.param, Some("backend"));
-        assert_eq!(err.message, "backend must be a string");
+        assert_eq!(err.param, Some("limit"));
+        assert_eq!(err.message, "limit must be an integer in 1..=1000");
     }
 }

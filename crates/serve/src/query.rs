@@ -193,12 +193,7 @@ pub(crate) fn handle_query(
         // explain-free, mirroring `?trace=1`). The cache *key* never
         // mentions explain either — `request_key` is unchanged.
         trace.span.phase("cache");
-        let result = query_body_traced(
-            &state.kb_for(snap, params.backend),
-            &patterns,
-            params.limit,
-            Some(&state.shutdown),
-        );
+        let result = query_body_traced(&snap.kb, &patterns, params.limit, Some(&state.shutdown));
         trace.span.phase("mine");
         return match result {
             Ok((body, plan, rows)) => {
@@ -221,14 +216,7 @@ pub(crate) fn handle_query(
         trace,
         request_key(&patterns, params.limit),
         || {
-            // kb_for runs only on a miss: a cache hit must not materialise
-            // the lazily-built secondary backend.
-            match query_body_traced(
-                &state.kb_for(snap, params.backend),
-                &patterns,
-                params.limit,
-                Some(&state.shutdown),
-            ) {
+            match query_body_traced(&snap.kb, &patterns, params.limit, Some(&state.shutdown)) {
                 Ok((body, plan, rows)) => {
                     // Planner events fire on the miss path only — a cache
                     // hit never ran the planner.

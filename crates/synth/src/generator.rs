@@ -1,4 +1,4 @@
-//! Materialises a [`Profile`](crate::schema::Profile) into a concrete KB.
+//! Materialises a [`crate::schema::Profile`] into a concrete KB.
 //!
 //! Determinism: the same `(profile, scale, seed)` triple always produces an
 //! identical KB, fact for fact. All randomness flows from one seeded

@@ -1,5 +1,5 @@
 //! The two KB profiles used throughout the evaluation, mirroring the
-//! paper's datasets (§4): DBpedia 2016-10 and the Wikidata dump of [6].
+//! paper's datasets (§4): DBpedia 2016-10 and the Wikidata dump of \[6\].
 //!
 //! Absolute sizes are scaled to laptop experiments; the *relative* shape is
 //! what matters: DBpedia-like has a richer predicate vocabulary and more

@@ -4,7 +4,7 @@
 //! graph-based method) was evaluated on *scenes*: exhaustive descriptions
 //! of a small set of objects and their attributes — "the small red cube on
 //! the table". The paper notes these datasets have far fewer predicates and
-//! instances than modern KBs (§1, §5; the largest graph in [10] had 256
+//! instances than modern KBs (§1, §5; the largest graph in \[10\] had 256
 //! vertices). This module generates such scenes so the suite can (a) sanity
 //! check REMI on the historical workload and (b) show the scalability gap
 //! benchmarked in the paper's related-work discussion.

@@ -46,13 +46,7 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
     let mut bodies_by_backend: Vec<Vec<String>> = Vec::new();
     for backend in [Backend::Csr, Backend::Succinct] {
         let kb = synth.kb.clone().with_backend(backend);
-        let mut server = boot(
-            kb.clone(),
-            ServeConfig {
-                backend: Some(backend),
-                ..ServeConfig::default()
-            },
-        );
+        let mut server = boot(kb.clone(), ServeConfig::default());
         let mut client = Client::connect(server.addr()).unwrap();
         let mut bodies = Vec::new();
 
@@ -96,39 +90,59 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
     );
 }
 
-/// The `?backend=` query parameter serves from a lazily-materialised
-/// second backend without changing a single response byte.
+/// A server answers from the one layout it was booted on: a `backend`
+/// request parameter is unknown, so it is ignored like any other — it
+/// neither changes the cache key nor converts the KB.
 #[test]
-fn backend_query_param_is_transparent() {
+fn backend_param_is_ignored_and_never_converts() {
     let synth = world();
     let iri = &target_iris(&synth)[0];
-    let mut server = boot(synth.kb.clone(), ServeConfig::default());
+    let mut server = boot(
+        synth.kb.clone().with_backend(Backend::Csr),
+        ServeConfig::default(),
+    );
     let mut client = Client::connect(server.addr()).unwrap();
+    let path = format!("/v1/describe/{}", percent_encode(iri));
 
-    let native = client
-        .get(&format!("/v1/describe/{}", percent_encode(iri)))
-        .unwrap();
-    assert_eq!(native.status, 200);
-    // Succinct answers from the cache (same request fingerprint) — force a
-    // different k to bypass it and actually exercise the other layout.
-    let succinct = client
-        .get(&format!(
-            "/v1/describe/{}?backend=succinct&k=2",
-            percent_encode(iri)
-        ))
-        .unwrap();
+    let succinct = client.get(&format!("{path}?backend=succinct&k=2")).unwrap();
     assert_eq!(succinct.status, 200, "{}", succinct.body);
-    let csr = client
-        .get(&format!(
-            "/v1/describe/{}?backend=csr&k=2",
-            percent_encode(iri)
-        ))
+    assert_eq!(succinct.header("x-remi-cache"), Some("miss"));
+    let flat = client.get(&format!("{path}?backend=flat&k=2")).unwrap();
+    assert_eq!(flat.status, 200, "{}", flat.body);
+    let plain = client.get(&format!("{path}?k=2")).unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    // One cache entry for all three: the parameter is not part of the key.
+    assert_eq!(flat.header("x-remi-cache"), Some("hit"));
+    assert_eq!(plain.header("x-remi-cache"), Some("hit"));
+    assert_eq!(succinct.body, plain.body);
+    assert_eq!(flat.body, plain.body);
+
+    let batch = client
+        .post(
+            "/v1/describe",
+            &format!(
+                "{{\"entities\":[{}],\"k\":2,\"backend\":\"flat\"}}",
+                remi_serve::json::escape(iri)
+            ),
+        )
         .unwrap();
-    // k=2 was cached by the succinct request; bodies must match anyway.
-    assert_eq!(succinct.body, csr.body);
+    assert_eq!(batch.status, 200, "{}", batch.body);
+    assert!(batch.body.contains(&plain.body), "{}", batch.body);
 
     let stats = client.get("/v1/stats").unwrap();
-    assert!(stats.body.contains("\"succinct\""), "{}", stats.body);
+    let doc = remi_serve::json::parse(stats.body.as_bytes()).unwrap();
+    let backends = doc.get("backends").expect("stats lists backends");
+    assert_eq!(
+        backends.get("primary").and_then(|v| v.as_str()),
+        Some("csr"),
+        "{}",
+        stats.body
+    );
+    let resident = backends
+        .get("resident")
+        .and_then(|v| v.as_array())
+        .expect("resident is a list");
+    assert_eq!(resident.len(), 1, "{}", stats.body);
     server.shutdown();
 }
 
@@ -243,13 +257,7 @@ fn query_endpoint_is_cached_and_byte_identical_to_library_output() {
     let mut bodies = Vec::new();
     for backend in [Backend::Csr, Backend::Succinct] {
         let kb = kb.clone().with_backend(backend);
-        let mut server = boot(
-            kb.clone(),
-            ServeConfig {
-                backend: Some(backend),
-                ..ServeConfig::default()
-            },
-        );
+        let mut server = boot(kb.clone(), ServeConfig::default());
         let mut client = Client::connect(server.addr()).unwrap();
 
         let cold = client.post("/v1/query", &payload).unwrap();
@@ -316,7 +324,6 @@ fn error_statuses_are_mapped() {
     assert_eq!(c.get("/no/such/route").unwrap().status, 404);
     assert_eq!(c.get("/v1/describe/e:NoSuchEntity").unwrap().status, 404);
     assert_eq!(c.get("/v1/describe/e:x?k=zero").unwrap().status, 400);
-    assert_eq!(c.get("/v1/describe/e:x?backend=flat").unwrap().status, 400);
     assert_eq!(c.post("/v1/healthz", "{}").unwrap().status, 405);
     assert_eq!(c.get("/v1/describe").unwrap().status, 405);
     assert_eq!(c.post("/v1/describe", "not json").unwrap().status, 400);
@@ -334,8 +341,6 @@ fn error_statuses_are_mapped() {
     // Parameter failures use the {"error": …, "param": …} envelope.
     let bad = c.get("/v1/describe/e:x?k=zero").unwrap();
     assert!(bad.body.contains("\"param\":\"k\""), "{}", bad.body);
-    let bad = c.get("/v1/describe/e:x?backend=flat").unwrap();
-    assert!(bad.body.contains("\"param\":\"backend\""), "{}", bad.body);
 
     // /query error mapping: malformed JSON, bad patterns, bad limit.
     assert_eq!(c.get("/v1/query").unwrap().status, 405);
@@ -576,13 +581,7 @@ fn explain_param_embeds_plan_trace_and_bypasses_cache() {
 
     let mut explains = Vec::new();
     for backend in [Backend::Csr, Backend::Succinct] {
-        let mut server = boot(
-            kb.clone().with_backend(backend),
-            ServeConfig {
-                backend: Some(backend),
-                ..ServeConfig::default()
-            },
-        );
+        let mut server = boot(kb.clone().with_backend(backend), ServeConfig::default());
         let mut client = Client::connect(server.addr()).unwrap();
 
         let plain = client.post("/v1/query", &payload).unwrap();
@@ -775,13 +774,14 @@ fn cli_serve_round_trip() {
     let kb_path = dir.join("kb.rkb");
     remi_cli::cmd_gen("dbpedia", 0.2, 5, &kb_path).unwrap();
 
-    let opts = remi_cli::ServeOpts {
-        addr: "127.0.0.1:0".to_string(),
+    let config = ServeConfig {
         cache_entries: 64,
-        ..Default::default()
+        ..ServeConfig::default()
     };
-    let (mut handle, banner) = remi_cli::cmd_serve(&kb_path, &opts).unwrap();
+    let (mut handle, banner) = remi_cli::cmd_serve(&kb_path, None, config).unwrap();
     assert!(banner.contains("serving"), "{banner}");
+    // The banner names the layout actually served, not the flag.
+    assert!(banner.contains("(succinct backend"), "{banner}");
 
     let mut client = Client::connect(handle.addr()).unwrap();
     let stats = client.get("/v1/stats").unwrap();
