@@ -483,7 +483,7 @@ USAGE:
   remi query <kb> <s> <p> <o> [<s> <p> <o> ...] [--limit N]
                   [--backend csr|succinct]
   remi serve <kb> [--addr HOST:PORT] [--backend csr|succinct]
-                  [--cache-entries N] [--max-inflight N] [--threads N]
+                  [--cache-entries N] [--max-inflight N]
                   [--compact-threshold N] [--slow-request-ms N]
                   [--event-capacity N]
 
@@ -498,11 +498,13 @@ SERVING:
   remi serve keeps the KB resident and answers JSON over HTTP/1.1
   (every path lives under /v1/...): GET /v1/healthz, GET /v1/stats,
   GET /v1/metrics (Prometheus text exposition),
-  GET /v1/describe/{entity}?k=&threads=,
+  GET /v1/describe/{entity}?k=,
   POST /v1/describe {\"entities\": [...]},
   GET /v1/summarize/{entity}?k=&method=,
   POST /v1/ingest (N-Triples body), POST /v1/query {\"patterns\": [{\"s\": ...,
-  \"p\": ..., \"o\": ...}], \"limit\": N}. Responses are cached (LRU,
+  \"p\": ..., \"o\": ...}], \"limit\": N}. Describes are mined by
+  sequential REMI, so an answer is a pure function of the KB and
+  repeats exactly across runs and pool sizes. Responses are cached (LRU,
   --cache-entries; 0 disables) and work beyond --max-inflight is shed
   with 503. Ingested batches publish a new epoch atomically; once the
   delta overlay exceeds --compact-threshold triples it is folded into a
@@ -544,7 +546,8 @@ STORAGE:
 
 ENVIRONMENT:
   REMI_THREADS  sizes the shared worker pool and is the default for
-                --threads (all parallel paths share one pool per process)
+                --threads (all parallel paths share one pool per process;
+                remi serve runs one request per worker)
 ";
 
 #[cfg(test)]

@@ -290,13 +290,6 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| err("--max-inflight takes a positive int"))?
                     }
-                    "--threads" => {
-                        config.threads = value()?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| err("--threads takes a positive int"))?
-                    }
                     "--compact-threshold" => {
                         config.compact_min_delta = value()?
                             .parse::<usize>()

@@ -34,7 +34,8 @@ use crate::bits::Bits;
 use crate::eval::Evaluator;
 use crate::expr::Expression;
 use crate::search::{
-    dfs_subtree, sorted_targets, Deadline, ScoredExpr, SearchCounters, SearchResult, SearchStatus,
+    dfs_subtree, sorted_targets, Deadline, Prune, ScoredExpr, SearchCounters, SearchResult,
+    SearchStatus,
 };
 
 struct Shared {
@@ -180,7 +181,7 @@ pub fn parallel_remi_search_on(
                     root,
                     &sorted_targets,
                     &mut counters,
-                    || Some(shared.best_cost()),
+                    Prune::Incumbent(&|| shared.best_cost()),
                     || {
                         if deadline.passed() {
                             shared.timed_out.cancel();
@@ -190,7 +191,6 @@ pub fn parallel_remi_search_on(
                     },
                     |expr, cost| shared.offer(worker, expr, cost),
                 );
-                counters.roots_explored += 1;
                 if !outcome.found && outcome.complete {
                     // Rule 2: a *complete* solution-free exploration
                     // rooted at ρᵢ proves even the most specific
@@ -204,7 +204,6 @@ pub fn parallel_remi_search_on(
         let mut total = counters_total.lock();
         total.nodes_visited += counters.nodes_visited;
         total.re_tests += counters.re_tests;
-        total.roots_explored += counters.roots_explored;
     });
 
     let found: Vec<(Expression, Bits)> = shared.take_best().into_iter().collect();
@@ -349,8 +348,11 @@ mod tests {
         let eval = Evaluator::new(&kb, 64);
         let par = premi(&eval, &queue, &ids, 1);
         assert_eq!(par.status, SearchStatus::NoSolution);
+        // Root 0's solution-free subtree pushes every index once; any
+        // later root would push at least one more.
         assert_eq!(
-            par.counters.roots_explored, 1,
+            par.counters.nodes_visited,
+            queue.len() as u64,
             "floor must cancel the rest of the shard"
         );
     }

@@ -7,9 +7,16 @@
 //! search *prunes by depth* (abandons descendants) and *prunes sideways*
 //! (abandons more-complex siblings) — the two rules of §3.3.
 //!
-//! `dfs_subtree` is the only DFS. Sequential REMI ([`remi_search`]) runs it
-//! with no pruning bound and a subtree-local best; P-REMI runs it against the
-//! shared incumbent.
+//! Sequential REMI ([`remi_search`]) adds a third rule, the *subtree
+//! cutoff*, that carries the same argument across a whole subtree: the
+//! queue is sorted and costs only add, so once `Ĉ(queue[root]) +
+//! Ĉ(queue[i])` reaches the cheaper of the subtree's best RE and the `k`-th
+//! RE already found, every later push in the subtree costs at least that
+//! much and the subtree is done. Ties keep discovery order, so no RE it
+//! skips could have entered the answer.
+//!
+//! `dfs_subtree` is the only DFS. Sequential REMI runs it under that
+//! subtree cutoff; P-REMI runs it against the shared incumbent.
 //!
 //! The DFS keeps, beside its stack, the bindings of every stack prefix
 //! (§3.5.2 caches binding sets because the search keeps meeting the same
@@ -116,8 +123,6 @@ pub struct SearchCounters {
     pub nodes_visited: u64,
     /// `e′(K) = T` tests run: one per push that the bound did not prune.
     pub re_tests: u64,
-    /// Subtree roots explored.
-    pub roots_explored: u64,
 }
 
 /// Result of the DFS phase.
@@ -185,7 +190,8 @@ pub(crate) struct SubtreeOutcome {
     /// The subtree yielded at least one RE.
     pub(crate) found: bool,
     /// The exploration ran to genuine exhaustion: neither `stop` nor the
-    /// pruning bound cut it short. Only a complete, solution-free subtree
+    /// incumbent bound cut it short (the subtree cutoff is a proof, so it
+    /// leaves the subtree complete). Only a complete, solution-free subtree
     /// proves that no RE starts at this root or any later one (Alg. 1
     /// line 8, §3.4 rule 2) — a bound-pruned subtree may have skipped
     /// conjunctions whose constituents are still cheap enough to seed
@@ -193,11 +199,25 @@ pub(crate) struct SubtreeOutcome {
     pub(crate) complete: bool,
 }
 
+/// How [`dfs_subtree`] cuts its walk short.
+#[derive(Clone, Copy)]
+pub(crate) enum Prune<'a> {
+    /// P-REMI (Alg. 3 line 6): before its RE test the stack backtracks
+    /// while it costs at least the incumbent's cost, read on every push.
+    /// A prune leaves the subtree incomplete.
+    Incumbent(&'a dyn Fn() -> Bits),
+    /// Sequential REMI: with `t` the cheaper of this limit (the `k`-th RE
+    /// already found, once `k` are known) and the subtree's best RE so
+    /// far, the subtree ends, complete, before pushing any `i > root`
+    /// once `Ĉ(queue[root]) + Ĉ(queue[i]) ≥ t`.
+    Cutoff(Option<Bits>),
+}
+
 /// The subtree DFS of Algorithms 2 and 3, rooted at `queue[root]` and
 /// combining it with the remaining (more complex) expressions.
 ///
-/// * `bound` is the cost at or above which the stack backtracks before its
-///   RE test (Alg. 3 line 6); `None` never prunes (Alg. 2).
+/// * `prune` is the incumbent bound (P-REMI) or the subtree cutoff
+///   (sequential REMI).
 /// * `stop` is checked before every node; when it fires the exploration
 ///   ends incomplete.
 /// * `found` receives every RE, with its cost, in discovery order.
@@ -208,7 +228,7 @@ pub(crate) fn dfs_subtree(
     root: usize,
     sorted_targets: &[u32],
     counters: &mut SearchCounters,
-    bound: impl Fn() -> Option<Bits>,
+    prune: Prune<'_>,
     stop: impl Fn() -> bool,
     mut found: impl FnMut(Expression, Bits),
 ) -> SubtreeOutcome {
@@ -224,7 +244,18 @@ pub(crate) fn dfs_subtree(
         found: false,
         complete: true,
     };
+    // The subtree cutoff's `t`, once known; the incumbent bound has none.
+    let mut cutoff = match prune {
+        Prune::Cutoff(limit) => limit,
+        Prune::Incumbent(_) => None,
+    };
     for i in root..queue.len() {
+        // Every push from here on holds queue[root] and an index ≥ i, so
+        // it costs at least Ĉ(queue[root]) + Ĉ(queue[i]) (the queue is
+        // sorted, and rounded sums of non-negative costs are monotone).
+        if i > root && cutoff.is_some_and(|t| queue[root].cost + queue[i].cost >= t) {
+            return outcome;
+        }
         if stop() {
             outcome.complete = false;
             return outcome;
@@ -238,7 +269,8 @@ pub(crate) fn dfs_subtree(
         // as the bound. (The paper's S contains ⊤ as an element, so its
         // `|S| > 1` is our "stack non-empty".) Line 8: ρ′ itself was popped,
         // so there is nothing to test.
-        if let Some(bound) = bound() {
+        if let Prune::Incumbent(bound) = prune {
+            let bound = bound();
             if stack_cost >= bound {
                 outcome.complete = false;
                 let parent_len = stack.len() - 1;
@@ -281,6 +313,9 @@ pub(crate) fn dfs_subtree(
         counters.re_tests += 1;
         if bindings[..] == *sorted_targets {
             outcome.found = true;
+            if let Prune::Cutoff(_) = prune {
+                cutoff = Some(cutoff.map_or(stack_cost, |t| t.min(stack_cost)));
+            }
             let parts = stack.iter().map(|&k| queue[k].expr).collect();
             found(Expression { parts }, stack_cost);
             // Pruning by depth, then side pruning.
@@ -304,7 +339,9 @@ pub(crate) fn dfs_subtree(
 /// The root loop stops once `k` REs are known and the next root alone
 /// costs at least the cheapest of them: conjunction costs only grow and
 /// the queue is sorted, so no later root can beat it. With `k = 1` that
-/// RE is optimal.
+/// RE is optimal. Each subtree ends, complete, once its root plus the next
+/// expression costs at least the cheaper of its best RE and the `k`-th RE
+/// found so far (the module's third pruning rule).
 ///
 /// # Panics
 ///
@@ -337,7 +374,7 @@ pub fn remi_search(
             root,
             &sorted_targets,
             &mut counters,
-            || None,
+            Prune::Cutoff(found.get(k - 1).map(|(_, c)| *c)),
             || deadline.passed(),
             |expr, cost| {
                 if best.as_ref().is_none_or(|(_, b)| cost < *b) {
@@ -345,7 +382,6 @@ pub fn remi_search(
                 }
             },
         );
-        counters.roots_explored += 1;
         if let Some((expr, cost)) = best {
             // Insert after every RE at most as costly (the first-found tie
             // rule); an RE that falls past `k` can never climb back.
@@ -622,9 +658,12 @@ mod tests {
         let eval = Evaluator::new(&kb, 64);
         let full = remi_search(&eval, &queue, &ids, &Deadline::default(), 1);
         assert_eq!(full.status, SearchStatus::Completed);
-        assert_eq!(full.counters.roots_explored, queue.len() as u64);
-        // One check per root and one per node: let all but the last pass.
-        let checks = full.counters.roots_explored + full.counters.nodes_visited;
+        // One check per root (every root is explored) and one per node:
+        // with all of them passing the search completes, so the count is
+        // exact. Let all but the last pass.
+        let checks = queue.len() as u64 + full.counters.nodes_visited;
+        let exact = remi_search(&eval, &queue, &ids, &Deadline::after_checks(checks), 1);
+        assert_eq!(exact.status, SearchStatus::Completed);
         let cut = || Deadline::after_checks(checks - 1);
         let seq = remi_search(&eval, &queue, &ids, &cut(), 1);
         assert_eq!(seq.status, SearchStatus::TimedOut);

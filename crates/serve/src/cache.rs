@@ -23,7 +23,7 @@ use remi_obs::{Counter, Registry};
 pub struct CacheKey {
     /// The canonical request descriptor (endpoint + every parameter that
     /// affects the body, in fixed order), e.g.
-    /// `describe?entity=e:X&exceptions=0&k=1&lang=remi&threads=2`.
+    /// `describe?entity=e:X&k=1`.
     pub request: String,
     /// Fingerprint of the resident KB content (see
     /// [`remi_kb::content_fingerprint`]).

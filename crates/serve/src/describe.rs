@@ -23,12 +23,8 @@ use crate::{error_body, resolve, ApiError, AppState, Response, Trace};
 const MAX_BATCH: usize = 64;
 
 /// The canonical cache key of one describe.
-fn request_key(iri: &str, k: usize, threads: usize) -> String {
-    format!("describe?entity={iri}&k={k}&threads={threads}")
-}
-
-fn mining_config(threads: usize) -> RemiConfig {
-    RemiConfig::default().with_threads(threads)
+fn request_key(iri: &str, k: usize) -> String {
+    format!("describe?entity={iri}&k={k}")
 }
 
 /// Mines and renders the answer for one resolved entity.
@@ -57,17 +53,14 @@ fn render(remi: &Remi<'_>, iri: &str, target: NodeId, k: usize) -> String {
 }
 
 /// Renders the `describe` response for one entity: the most intuitive
-/// referring expression(s) mined by `remi_core`, as canonical JSON. This
-/// is exactly what `GET /v1/describe/{entity}` answers on a cache miss.
-pub fn describe_body(
-    kb: &KnowledgeBase,
-    iri: &str,
-    k: usize,
-    threads: usize,
-) -> Result<String, ApiError> {
+/// referring expression(s) mined by `remi_core` with the default config
+/// (sequential REMI, so the answer is a pure function of the KB), as
+/// canonical JSON. This is exactly what `GET /v1/describe/{entity}`
+/// answers on a cache miss.
+pub fn describe_body(kb: &KnowledgeBase, iri: &str, k: usize) -> Result<String, ApiError> {
     let target = resolve(kb, iri)?;
     Ok(render(
-        &Remi::new(kb, mining_config(threads)),
+        &Remi::new(kb, RemiConfig::default()),
         iri,
         target,
         k,
@@ -87,11 +80,11 @@ fn describe_many(
     iris: &[&str],
     params: &QueryParams,
 ) -> Vec<Answer> {
-    let (k, threads) = (params.k, params.threads);
+    let k = params.k;
     let keys: Vec<CacheKey> = iris
         .iter()
         .map(|iri| CacheKey {
-            request: request_key(iri, k, threads),
+            request: request_key(iri, k),
             kb: snap.fingerprint,
         })
         .collect();
@@ -119,7 +112,7 @@ fn describe_many(
         if !jobs.is_empty() {
             // One miner shared by every miss; each mines as its own pool
             // task, the first on this worker (a GET adds no pool hop).
-            let remi = Remi::new(kb, mining_config(threads));
+            let remi = Remi::new(kb, RemiConfig::default());
             let remi = &remi;
             remi_pool::global().scope(|scope| {
                 let mut jobs = jobs.into_iter();
@@ -165,7 +158,7 @@ pub(crate) fn handle_describe_one(
     iri: &str,
     trace: &mut Trace<'_>,
 ) -> Response {
-    let params = match QueryParams::defaults(state.default_threads).merge_query(req) {
+    let params = match QueryParams::defaults().merge_query(req) {
         Ok(p) => p,
         Err(e) => return Response::api(&e),
     };
@@ -176,7 +169,7 @@ pub(crate) fn handle_describe_one(
     }
 }
 
-/// `POST /v1/describe`: `{"entities": [...], "k"?, "threads"?}` answers
+/// `POST /v1/describe`: `{"entities": [...], "k"?}` answers
 /// `{"count", "results"}` with one body per requested slot, in order.
 /// Duplicate entities mine once, and an entity that fails embeds its
 /// error body instead of failing the batch.
@@ -213,7 +206,7 @@ pub(crate) fn handle_describe_batch(
             }
         });
     }
-    let params = match QueryParams::defaults(state.default_threads).merge_json(&doc) {
+    let params = match QueryParams::defaults().merge_json(&doc) {
         Ok(p) => p,
         Err(e) => return Response::api(&e),
     };

@@ -37,7 +37,7 @@
 //! | `GET /v1/healthz`            | liveness (exempt from request shedding)  |
 //! | `GET /v1/stats`              | KB, epoch, backend and config facts      |
 //! | `GET /v1/metrics`            | Prometheus text exposition (`remi-obs`)  |
-//! | `GET /v1/describe/{entity}`  | best RE(s); `?k=&threads=`               |
+//! | `GET /v1/describe/{entity}`  | best RE(s); `?k=`                        |
 //! | `POST /v1/describe`          | batched entity list, one shared miner    |
 //! | `GET /v1/debug/events`       | flight-recorder tail (`?channel=&…`)     |
 //! | `GET /v1/summarize/{entity}` | top-k facts; `?k=&method=`               |
@@ -116,9 +116,6 @@ pub struct ServeConfig {
     /// (min 8), bounding file descriptors without shedding cheap idle
     /// keep-alive clients.
     pub max_inflight: usize,
-    /// Default P-REMI task count per describe request (`?threads=`
-    /// overrides per request).
-    pub threads: usize,
     /// Background-compaction trigger: once `POST /v1/ingest` has grown the
     /// delta overlay past this many triples, a compaction task is
     /// scheduled on the shared pool to fold it into a fresh base.
@@ -141,7 +138,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             cache_entries: 4096,
             max_inflight: 64,
-            threads: remi_pool::configured_threads(),
             compact_min_delta: CompactionPolicy::default().min_delta,
             slow_request_ms: None,
             event_capacity: 1024,
@@ -372,7 +368,6 @@ pub(crate) struct AppState {
     /// min 8): idle parked connections are cheap, so this only bounds
     /// file descriptors and parser buffers.
     max_conns: u64,
-    pub(crate) default_threads: usize,
     /// PageRank for `linksum`, computed on demand. Keyed by
     /// `(epoch, fingerprint)`: validity is by *fingerprint* (equal
     /// fingerprint ⟹ equal content, so the ranks survive compactions,
@@ -713,10 +708,7 @@ pub(crate) fn handle_summarize(
     iri: &str,
     trace: &mut Trace<'_>,
 ) -> Response {
-    let params = match params::QueryParams::defaults(state.default_threads)
-        .with_k(5)
-        .merge_query(req)
-    {
+    let params = match params::QueryParams::defaults().with_k(5).merge_query(req) {
         Ok(p) => p,
         Err(e) => return Response::api(&e),
     };
@@ -1367,7 +1359,6 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
         slow_request_ms: config.slow_request_ms,
         max_inflight: config.max_inflight.max(1) as u64,
         max_conns: (config.max_inflight.max(1) as u64).saturating_mul(4).max(8),
-        default_threads: config.threads.max(1),
         events,
         query_events,
         http_events,
@@ -1406,7 +1397,7 @@ mod tests {
     #[test]
     fn describe_body_renders_the_library_answer() {
         let kb = tiny_kb();
-        let body = describe_body(&kb, "e:Paris", 1, 1).unwrap();
+        let body = describe_body(&kb, "e:Paris", 1).unwrap();
         let remi = Remi::new(&kb, RemiConfig::default());
         let paris = kb.node_id_by_iri("e:Paris").unwrap();
         let (expr, cost) = remi.describe(&[paris]).best.unwrap();
@@ -1417,7 +1408,7 @@ mod tests {
         assert!(body.contains(&cost.to_string()), "{body}");
         assert!(body.contains("\"status\":\"completed\""), "{body}");
 
-        let err = describe_body(&kb, "e:Nowhere", 1, 1).unwrap_err();
+        let err = describe_body(&kb, "e:Nowhere", 1).unwrap_err();
         assert_eq!(err.status, 404);
     }
 
@@ -1456,10 +1447,7 @@ mod tests {
         let warm = c.get("/v1/describe/e:Paris").unwrap();
         assert_eq!(warm.header("x-remi-cache"), Some("hit"));
         assert_eq!(cold.body, warm.body);
-        assert_eq!(
-            cold.body,
-            describe_body(&tiny_kb(), "e:Paris", 1, server_threads()).unwrap()
-        );
+        assert_eq!(cold.body, describe_body(&tiny_kb(), "e:Paris", 1).unwrap());
 
         server.shutdown();
         server.shutdown(); // idempotent
@@ -1470,10 +1458,6 @@ mod tests {
                 c.get("/v1/healthz").is_err()
             }
         );
-    }
-
-    fn server_threads() -> usize {
-        ServeConfig::default().threads
     }
 
     #[test]
@@ -1533,7 +1517,7 @@ mod tests {
         let server = serve(tiny_kb(), ServeConfig::default()).unwrap();
         let state = &server.state;
         let key = |snap: &Snapshot| CacheKey {
-            request: "describe?entity=e:Paris&k=1&threads=1".to_string(),
+            request: "describe?entity=e:Paris&k=1".to_string(),
             kb: snap.fingerprint,
         };
 

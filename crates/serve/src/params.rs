@@ -1,15 +1,15 @@
 //! The typed request-parameter extractor shared by every endpoint.
 //!
 //! Before this module each handler re-parsed and re-clamped its own `k`,
-//! `threads`, `method` (and now `limit`). [`QueryParams`] is
+//! `method` (and now `limit`). [`QueryParams`] is
 //! the one validation path: endpoint defaults come from
 //! [`QueryParams::defaults`] (adjusted with [`QueryParams::with_k`]),
 //! URL query strings overlay through [`QueryParams::merge_query`], JSON
 //! bodies through [`QueryParams::merge_json`], and every failure is an
 //! [`ApiError`] tagged with the offending parameter name — rendered as
 //! the consistent `{"error": …, "param": …}` envelope. A parameter this
-//! module does not name (`backend`, say: a server answers from one layout)
-//! is ignored.
+//! module does not name is ignored: `backend` (a server answers from one
+//! layout) and `threads` (a server mines with sequential REMI), say.
 
 use crate::http::Request;
 use crate::json::Value;
@@ -17,9 +17,6 @@ use crate::ApiError;
 
 /// Hard cap on `k` for describe/summarize.
 pub(crate) const MAX_K: usize = 64;
-
-/// Hard cap on `threads` per request.
-pub(crate) const MAX_THREADS: usize = 256;
 
 /// Default `/query` row limit when the body names none.
 pub(crate) const DEFAULT_QUERY_LIMIT: usize = 100;
@@ -32,8 +29,6 @@ pub(crate) const MAX_QUERY_LIMIT: usize = 1000;
 pub(crate) struct QueryParams {
     /// Result count for describe/summarize (`1..=MAX_K`).
     pub k: usize,
-    /// P-REMI task count (`1..=MAX_THREADS`).
-    pub threads: usize,
     /// Summarisation method (validated downstream, where the method
     /// dispatch lives).
     pub method: String,
@@ -43,10 +38,9 @@ pub(crate) struct QueryParams {
 
 impl QueryParams {
     /// The server-side defaults every request starts from.
-    pub fn defaults(default_threads: usize) -> QueryParams {
+    pub fn defaults() -> QueryParams {
         QueryParams {
             k: 1,
-            threads: default_threads,
             method: "remi".to_string(),
             limit: DEFAULT_QUERY_LIMIT,
         }
@@ -63,9 +57,6 @@ impl QueryParams {
         if let Some(raw) = req.query_param("k") {
             self.k = clamp_int("k", raw.parse().ok(), MAX_K)?;
         }
-        if let Some(raw) = req.query_param("threads") {
-            self.threads = clamp_int("threads", raw.parse().ok(), MAX_THREADS)?;
-        }
         if let Some(raw) = req.query_param("limit") {
             self.limit = clamp_int("limit", raw.parse().ok(), MAX_QUERY_LIMIT)?;
         }
@@ -79,9 +70,6 @@ impl QueryParams {
     pub fn merge_json(mut self, doc: &Value) -> Result<QueryParams, ApiError> {
         if let Some(v) = doc.get("k") {
             self.k = clamp_int("k", v.as_usize(), MAX_K)?;
-        }
-        if let Some(v) = doc.get("threads") {
-            self.threads = clamp_int("threads", v.as_usize(), MAX_THREADS)?;
         }
         if let Some(v) = doc.get("limit") {
             self.limit = clamp_int("limit", v.as_usize(), MAX_QUERY_LIMIT)?;
@@ -119,16 +107,17 @@ mod tests {
 
     #[test]
     fn query_string_overlays_and_clamps() {
-        let p = QueryParams::defaults(4)
-            .merge_query(&request("/describe/e:X?k=3&threads=2&limit=5"))
+        let p = QueryParams::defaults()
+            .merge_query(&request("/describe/e:X?k=3&limit=5"))
             .unwrap();
-        assert_eq!((p.k, p.threads, p.limit), (3, 2, 5));
+        assert_eq!((p.k, p.limit), (3, 5));
 
-        // Parameters the extractor does not name are ignored.
-        let defaults = QueryParams::defaults(4)
-            .merge_query(&request("/x?backend=flat&x=1"))
+        // Parameters the extractor does not name are ignored, whatever
+        // their value.
+        let defaults = QueryParams::defaults()
+            .merge_query(&request("/x?backend=flat&threads=999&x=1"))
             .unwrap();
-        assert_eq!((defaults.k, defaults.threads, defaults.limit), (1, 4, 100));
+        assert_eq!((defaults.k, defaults.limit), (1, 100));
         assert_eq!(defaults.method, "remi");
     }
 
@@ -138,17 +127,12 @@ mod tests {
             ("/x?k=0", "k", "k must be an integer in 1..=64"),
             ("/x?k=nope", "k", "k must be an integer in 1..=64"),
             (
-                "/x?threads=999",
-                "threads",
-                "threads must be an integer in 1..=256",
-            ),
-            (
                 "/x?limit=1001",
                 "limit",
                 "limit must be an integer in 1..=1000",
             ),
         ] {
-            let err = QueryParams::defaults(1)
+            let err = QueryParams::defaults()
                 .merge_query(&request(target))
                 .unwrap_err();
             assert_eq!(err.status, 400, "{target}");
@@ -159,12 +143,12 @@ mod tests {
 
     #[test]
     fn json_body_overlays_with_the_same_clamp() {
-        let doc = json::parse(br#"{"k": 2, "threads": 8, "limit": 10}"#).unwrap();
-        let p = QueryParams::defaults(4).merge_json(&doc).unwrap();
-        assert_eq!((p.k, p.threads, p.limit), (2, 8, 10));
+        let doc = json::parse(br#"{"k": 2, "threads": 0, "limit": 10}"#).unwrap();
+        let p = QueryParams::defaults().merge_json(&doc).unwrap();
+        assert_eq!((p.k, p.limit), (2, 10));
 
         let bad = json::parse(br#"{"limit": "ten"}"#).unwrap();
-        let err = QueryParams::defaults(4).merge_json(&bad).unwrap_err();
+        let err = QueryParams::defaults().merge_json(&bad).unwrap_err();
         assert_eq!(err.param, Some("limit"));
         assert_eq!(err.message, "limit must be an integer in 1..=1000");
     }

@@ -182,7 +182,7 @@ pub(crate) fn handle_query(
         Ok(p) => p,
         Err(e) => return Response::api(&e),
     };
-    let params = match QueryParams::defaults(state.default_threads).merge_json(&doc) {
+    let params = match QueryParams::defaults().merge_json(&doc) {
         Ok(p) => p,
         Err(e) => return Response::api(&e),
     };

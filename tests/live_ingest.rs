@@ -14,7 +14,7 @@ use remi_kb::term::Term;
 use remi_kb::{Backend, KbBuilder, KnowledgeBase, LiveKb, NodeId, TripleStore};
 use remi_serve::client::Client;
 use remi_serve::http::percent_encode;
-use remi_serve::{serve, ServeConfig};
+use remi_serve::{describe_body, serve, ServeConfig};
 
 type Fact = (u8, u8, u8);
 
@@ -268,13 +268,11 @@ fn describe_bytes_survive_a_noop_compaction() {
     let mut c = Client::connect(server.addr()).unwrap();
 
     // Grow the delta, then describe on the layered view.
-    let ingest = c
-        .post("/v1/ingest", "<e:live_x> <p:liveRel> <e:live_y> .\n")
-        .unwrap();
+    let triple = "<e:live_x> <p:liveRel> <e:live_y> .\n";
+    let ingest = c.post("/v1/ingest", triple).unwrap();
     assert_eq!(ingest.status, 200, "{}", ingest.body);
-    let before = c
-        .get(&format!("/v1/describe/{}?threads=1", percent_encode(&iri)))
-        .unwrap();
+    let path = format!("/v1/describe/{}", percent_encode(&iri));
+    let before = c.get(&path).unwrap();
     assert_eq!(before.status, 200, "{}", before.body);
 
     // Wait for the background compaction to fold the delta.
@@ -289,19 +287,19 @@ fn describe_bytes_survive_a_noop_compaction() {
 
     // Same request: a cache hit (the fingerprint survived the fold), and
     // byte-identical.
-    let warm = c
-        .get(&format!("/v1/describe/{}?threads=1", percent_encode(&iri)))
-        .unwrap();
+    let warm = c.get(&path).unwrap();
     assert_eq!(warm.header("x-remi-cache"), Some("hit"));
     assert_eq!(warm.body, before.body);
 
     // A fresh cache key after the fold: mined on the compacted base, and
-    // still byte-identical (threads never changes rendered bytes).
-    let remined = c
-        .get(&format!("/v1/describe/{}?threads=2", percent_encode(&iri)))
-        .unwrap();
+    // byte-identical to the library's answer on the layered view.
+    let remined = c.get(&format!("{path}?k=2")).unwrap();
     assert_eq!(remined.header("x-remi-cache"), Some("miss"));
-    assert_eq!(remined.body, before.body);
+    let layered = LiveKb::new(synth.kb.clone());
+    layered.append_ntriples(triple).unwrap();
+    let layered = layered.snapshot();
+    assert_eq!(before.body, describe_body(&layered.kb, &iri, 1).unwrap());
+    assert_eq!(remined.body, describe_body(&layered.kb, &iri, 2).unwrap());
     server.shutdown();
 }
 

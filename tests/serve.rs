@@ -41,7 +41,6 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
     let synth = world();
     let iris = target_iris(&synth);
     assert!(!iris.is_empty(), "fixture lost its classes");
-    let threads = ServeConfig::default().threads;
 
     let mut bodies_by_backend: Vec<Vec<String>> = Vec::new();
     for backend in [Backend::Csr, Backend::Succinct] {
@@ -58,7 +57,7 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
             assert_eq!(cold.status, 200, "{iri}: {}", cold.body);
             assert_eq!(cold.header("x-remi-cache"), Some("miss"), "{iri}");
             // The HTTP body is exactly the library rendering.
-            let direct = describe_body(&kb, iri, 1, threads).unwrap();
+            let direct = describe_body(&kb, iri, 1).unwrap();
             assert_eq!(cold.body, direct, "describe({iri}) on {backend}");
 
             // Warm: served from the cache, byte-identical.
@@ -146,6 +145,74 @@ fn backend_param_is_ignored_and_never_converts() {
     server.shutdown();
 }
 
+/// A server mines every describe with sequential REMI, so a `threads`
+/// request parameter is unknown and ignored: it is not part of the cache
+/// key, and the answer is the plain GET's, from the cache.
+#[test]
+fn threads_param_is_ignored() {
+    let synth = world();
+    let iri = &target_iris(&synth)[0];
+    let mut server = boot(synth.kb.clone(), ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let path = format!("/v1/describe/{}", percent_encode(iri));
+
+    let plain = client.get(&path).unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    assert_eq!(plain.header("x-remi-cache"), Some("miss"));
+    let threads = client.get(&format!("{path}?threads=8")).unwrap();
+    assert_eq!(threads.status, 200, "{}", threads.body);
+    assert_eq!(threads.header("x-remi-cache"), Some("hit"));
+    assert_eq!(threads.body, plain.body);
+    server.shutdown();
+}
+
+/// Served answers are a pure function of the KB: two fresh servers answer
+/// every target byte-identically, and each body is the rendering of
+/// sequential REMI under the default config, whatever the pool width.
+#[test]
+fn describe_bodies_repeat_across_servers_and_match_sequential_remi() {
+    use remi_core::{Remi, RemiConfig};
+    use remi_serve::json::{array_raw, JsonObject};
+
+    let synth = world();
+    let kb = &synth.kb;
+    let iris = target_iris(&synth);
+    let remi = Remi::new(kb, RemiConfig::default());
+    let expected: Vec<String> = iris
+        .iter()
+        .map(|iri| {
+            let target = kb.node_id_by_iri(iri).expect("target resolves");
+            let outcome = remi.describe(&[target]);
+            let results = outcome.best.iter().map(|(expr, cost)| {
+                JsonObject::new()
+                    .field_str("expression", &expr.display(kb).to_string())
+                    .field_str("verbalised", &remi_core::verbalize::verbalize(kb, expr))
+                    .field_str("complexity", &cost.to_string())
+                    .finish()
+            });
+            JsonObject::new()
+                .field_str("entity", iri)
+                .field_u64("k", 1)
+                .field_str("status", outcome.status.as_str())
+                .field_raw("results", &array_raw(results))
+                .finish()
+        })
+        .collect();
+
+    for run in 0..2 {
+        let mut server = boot(kb.clone(), ServeConfig::default());
+        let mut client = Client::connect(server.addr()).unwrap();
+        for (iri, want) in iris.iter().zip(&expected) {
+            let got = client
+                .get(&format!("/v1/describe/{}", percent_encode(iri)))
+                .unwrap();
+            assert_eq!(got.status, 200, "{iri}: {}", got.body);
+            assert_eq!(&got.body, want, "server {run}, {iri}");
+        }
+        server.shutdown();
+    }
+}
+
 /// Batched describe shares one miner and embeds exactly the per-entity
 /// GET bodies.
 #[test]
@@ -195,7 +262,7 @@ fn batched_describe_matches_individual_gets() {
     // A batch with non-default parameters seeds the same cache keys that
     // a GET with those parameters reads.
     let payload = format!(
-        "{{\"entities\":[{}],\"k\":2,\"threads\":1}}",
+        "{{\"entities\":[{}],\"k\":2}}",
         iris.iter()
             .map(|i| remi_serve::json::escape(i))
             .collect::<Vec<_>>()
@@ -205,10 +272,7 @@ fn batched_describe_matches_individual_gets() {
     assert_eq!(batch.status, 200, "{}", batch.body);
     for iri in &iris {
         let single = client
-            .get(&format!(
-                "/v1/describe/{}?k=2&threads=1",
-                percent_encode(iri)
-            ))
+            .get(&format!("/v1/describe/{}?k=2", percent_encode(iri)))
             .unwrap();
         assert_eq!(
             single.header("x-remi-cache"),
