@@ -15,9 +15,13 @@
 //! Conditional entity rankings are either kept exactly (one rank table per
 //! predicate) or compressed per Eq. 1 into per-predicate power-law
 //! coefficients — the paper's choice (§3.5.3).
+//!
+//! The KB-wide rankings live in [`CostTables`], which owns no KB: it is
+//! built once from a KB and shared by `Arc` between every [`CostModel`]
+//! view over a KB with the same content (a server keeps one per KB
+//! generation, see [`MinerContext`](crate::miner::MinerContext)).
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use remi_kb::fx::FxHashMap;
 use remi_kb::pagerank::{pagerank, PageRank, PageRankConfig};
@@ -53,9 +57,18 @@ const CLOSED_RANK_SUBJECT_CAP: usize = 4096;
 
 type RankMap = FxHashMap<u32, u32>;
 
-/// The complexity model `Ĉ` for one KB and prominence metric.
+/// The complexity model `Ĉ` for one KB and prominence metric: a view of
+/// shared [`CostTables`] over the KB they were built from.
 pub struct CostModel<'kb> {
     kb: &'kb KnowledgeBase,
+    tables: Arc<CostTables>,
+}
+
+/// The KB-wide rankings behind a [`CostModel`]: predicate ranks, node
+/// prominences, the Eq. 1 fits, and the join rankings, built lazily once
+/// per predicate. They own no KB, so one `Arc<CostTables>` serves every
+/// view over a KB with the same content (same triples, same numbering).
+pub struct CostTables {
     metric: Prominence,
     mode: EntityCodeMode,
     /// 1-based rank per predicate, by descending fact count (`fr` is used
@@ -68,9 +81,9 @@ pub struct CostModel<'kb> {
     /// Exact conditional rank tables (only in `ExactRank` mode).
     exact: Vec<RankMap>,
     /// Lazily built first-to-second-argument join rankings per predicate.
-    join_rank: Mutex<FxHashMap<u32, Arc<RankMap>>>,
+    join_rank: Vec<OnceLock<RankMap>>,
     /// Lazily built parallel-join rankings per predicate.
-    closed_rank: Mutex<FxHashMap<u32, Arc<RankMap>>>,
+    closed_rank: Vec<OnceLock<RankMap>>,
 }
 
 impl<'kb> CostModel<'kb> {
@@ -78,6 +91,197 @@ impl<'kb> CostModel<'kb> {
     /// PageRank internally; use [`CostModel::with_pagerank`] to reuse a
     /// precomputed one.
     pub fn new(kb: &'kb KnowledgeBase, metric: Prominence, mode: EntityCodeMode) -> Self {
+        Self::over(kb, Arc::new(CostTables::new(kb, metric, mode)))
+    }
+
+    /// Builds a cost model with a precomputed PageRank.
+    pub fn with_pagerank(kb: &'kb KnowledgeBase, mode: EntityCodeMode, pr: &PageRank) -> Self {
+        let tables = CostTables::build(kb, Prominence::PageRank, mode, Some(pr));
+        Self::over(kb, Arc::new(tables))
+    }
+
+    /// A view of shared `tables` over `kb`, which must hold the content
+    /// the tables were built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kb`'s node or predicate count differs from the one
+    /// the tables were built over.
+    pub fn over(kb: &'kb KnowledgeBase, tables: Arc<CostTables>) -> Self {
+        assert!(
+            tables.node_prom.len() == kb.num_nodes() && tables.pred_rank.len() == kb.num_preds(),
+            "cost tables were built over a different KB"
+        );
+        CostModel { kb, tables }
+    }
+
+    /// The underlying KB.
+    pub fn kb(&self) -> &'kb KnowledgeBase {
+        self.kb
+    }
+
+    /// The prominence metric in use.
+    pub fn metric(&self) -> Prominence {
+        self.tables.metric
+    }
+
+    /// The entity-code mode in use.
+    pub fn mode(&self) -> EntityCodeMode {
+        self.tables.mode
+    }
+
+    /// The Eq. 1 fits, indexed by predicate (for the R² experiment).
+    pub fn fits(&self) -> &[PowerLawFit] {
+        &self.tables.fits
+    }
+
+    /// Mean R² over predicates whose conditional ranking has at least
+    /// `min_points` distinct objects (degenerate fits excluded).
+    pub fn average_r2(&self, min_points: usize) -> f64 {
+        let eligible: Vec<f64> = self
+            .tables
+            .fits
+            .iter()
+            .filter(|f| f.n >= min_points)
+            .map(|f| f.r2)
+            .collect();
+        if eligible.is_empty() {
+            return f64::NAN;
+        }
+        eligible.iter().sum::<f64>() / eligible.len() as f64
+    }
+
+    /// `l(p_b) = log2(k(p))` — the code length of a predicate.
+    pub fn pred_bits(&self, p: PredId) -> Bits {
+        Bits::from_rank(u64::from(self.tables.pred_rank[p.idx()]))
+    }
+
+    /// The prominence value of a node under the current metric.
+    pub fn node_prominence(&self, n: NodeId) -> f64 {
+        self.tables.node_prom[n.idx()]
+    }
+
+    /// `l(I_b | p) = log2(k(I | p))` — conditional code length of an
+    /// object given its predicate.
+    pub fn entity_bits(&self, o: NodeId, given: PredId) -> Bits {
+        match self.tables.mode {
+            EntityCodeMode::ExactRank => {
+                let rank = self.tables.exact[given.idx()]
+                    .get(&o.0)
+                    .copied()
+                    .unwrap_or_else(|| (self.kb.index(given).num_objects() + 1) as u32);
+                Bits::from_rank(u64::from(rank))
+            }
+            EntityCodeMode::PowerLaw => {
+                let prom = match self.tables.metric {
+                    Prominence::Frequency => self.kb.index(given).object_frequency(o) as f64,
+                    Prominence::PageRank => self.tables.node_prom[o.idx()],
+                };
+                if prom <= 0.0 {
+                    // Unseen in this context: costs one past the last rank.
+                    return Bits::from_rank((self.kb.index(given).num_objects() + 1) as u64);
+                }
+                Bits::new(self.tables.fits[given.idx()].bits_for(prom))
+            }
+        }
+    }
+
+    /// `l(p₁ | p₀)` — rank of `p₁` among the predicates that allow a
+    /// first-to-second-argument join with `p₀` (the path chain rule).
+    pub fn join_bits(&self, p1: PredId, given_p0: PredId) -> Bits {
+        let map = self.join_ranking(given_p0);
+        let rank = map.get(&p1.0).copied().unwrap_or((map.len() + 2) as u32);
+        Bits::from_rank(u64::from(rank))
+    }
+
+    /// The parallel-join analogue for closed shapes: rank of `q` among the
+    /// predicates `q` with `∃x,y: p₀(x,y) ∧ q(x,y)`.
+    pub fn closed_bits(&self, q: PredId, given_p0: PredId) -> Bits {
+        let map = self.closed_ranking(given_p0);
+        let rank = map.get(&q.0).copied().unwrap_or((map.len() + 2) as u32);
+        Bits::from_rank(u64::from(rank))
+    }
+
+    fn join_ranking(&self, p0: PredId) -> &RankMap {
+        self.tables.join_rank[p0.idx()].get_or_init(|| {
+            // Count, for each predicate q, the distinct objects y of p0
+            // that are subjects of q — the strength of the p0 ⋈ q join.
+            let mut weight: FxHashMap<u32, u32> = FxHashMap::default();
+            for y in self.kb.index(p0).iter_objects() {
+                for q in self.kb.preds_of_subject(y) {
+                    *weight.entry(q).or_insert(0) += 1;
+                }
+            }
+            weights_to_ranks(weight)
+        })
+    }
+
+    fn closed_ranking(&self, p0: PredId) -> &RankMap {
+        self.tables.closed_rank[p0.idx()].get_or_init(|| self.closed_weights(p0))
+    }
+
+    fn closed_weights(&self, p0: PredId) -> RankMap {
+        let mut weight: FxHashMap<u32, u32> = FxHashMap::default();
+        for (s, objs) in self
+            .kb
+            .index(p0)
+            .iter_subjects()
+            .take(CLOSED_RANK_SUBJECT_CAP)
+        {
+            for q in self.kb.preds_of_subject(s) {
+                if q == p0.0 {
+                    continue;
+                }
+                if sorted_intersects(objs, self.kb.objects(PredId(q), s)) {
+                    *weight.entry(q).or_insert(0) += 1;
+                }
+            }
+        }
+        weights_to_ranks(weight)
+    }
+
+    /// `Ĉ` of a subgraph expression (the chain-rule sums of §3.1).
+    pub fn subgraph_cost(&self, e: &SubgraphExpr) -> Bits {
+        match *e {
+            SubgraphExpr::Atom { p, o } => self.pred_bits(p) + self.entity_bits(o, p),
+            SubgraphExpr::Path { p0, p1, o } => {
+                self.pred_bits(p0) + self.join_bits(p1, p0) + self.entity_bits(o, p1)
+            }
+            SubgraphExpr::PathStar { p0, p1, o1, p2, o2 } => {
+                self.pred_bits(p0)
+                    + self.join_bits(p1, p0)
+                    + self.entity_bits(o1, p1)
+                    + self.join_bits(p2, p0)
+                    + self.entity_bits(o2, p2)
+            }
+            SubgraphExpr::Closed2 { p0, p1 } => self.pred_bits(p0) + self.closed_bits(p1, p0),
+            SubgraphExpr::Closed3 { p0, p1, p2 } => {
+                self.pred_bits(p0) + self.closed_bits(p1, p0) + self.closed_bits(p2, p0)
+            }
+        }
+    }
+
+    /// `Ĉ(e) = Σ Ĉ(ρᵢ)` over the conjuncts; `Ĉ(⊤) = ∞` (footnote 6).
+    pub fn expression_cost(&self, e: &Expression) -> Bits {
+        if e.is_top() {
+            return Bits::INFINITY;
+        }
+        e.parts.iter().map(|p| self.subgraph_cost(p)).sum()
+    }
+
+    /// Cost of a conjunction given as a slice (used by the search stacks).
+    pub fn parts_cost(&self, parts: &[SubgraphExpr]) -> Bits {
+        if parts.is_empty() {
+            return Bits::INFINITY;
+        }
+        parts.iter().map(|p| self.subgraph_cost(p)).sum()
+    }
+}
+
+impl CostTables {
+    /// Builds the tables for `kb` under `metric` and `mode`. For
+    /// [`Prominence::PageRank`] this computes PageRank internally.
+    pub fn new(kb: &KnowledgeBase, metric: Prominence, mode: EntityCodeMode) -> Self {
         let pr = match metric {
             Prominence::PageRank => Some(pagerank(kb, PageRankConfig::default())),
             Prominence::Frequency => None,
@@ -85,13 +289,8 @@ impl<'kb> CostModel<'kb> {
         Self::build(kb, metric, mode, pr.as_ref())
     }
 
-    /// Builds a cost model with a precomputed PageRank.
-    pub fn with_pagerank(kb: &'kb KnowledgeBase, mode: EntityCodeMode, pr: &PageRank) -> Self {
-        Self::build(kb, Prominence::PageRank, mode, Some(pr))
-    }
-
     fn build(
-        kb: &'kb KnowledgeBase,
+        kb: &KnowledgeBase,
         metric: Prominence,
         mode: EntityCodeMode,
         pr: Option<&PageRank>,
@@ -159,182 +358,16 @@ impl<'kb> CostModel<'kb> {
             }
         }
 
-        CostModel {
-            kb,
+        CostTables {
             metric,
             mode,
             pred_rank,
             node_prom,
             fits,
             exact,
-            join_rank: Mutex::new(FxHashMap::default()),
-            closed_rank: Mutex::new(FxHashMap::default()),
+            join_rank: (0..kb.num_preds()).map(|_| OnceLock::new()).collect(),
+            closed_rank: (0..kb.num_preds()).map(|_| OnceLock::new()).collect(),
         }
-    }
-
-    /// The underlying KB.
-    pub fn kb(&self) -> &'kb KnowledgeBase {
-        self.kb
-    }
-
-    /// The prominence metric in use.
-    pub fn metric(&self) -> Prominence {
-        self.metric
-    }
-
-    /// The entity-code mode in use.
-    pub fn mode(&self) -> EntityCodeMode {
-        self.mode
-    }
-
-    /// The Eq. 1 fits, indexed by predicate (for the R² experiment).
-    pub fn fits(&self) -> &[PowerLawFit] {
-        &self.fits
-    }
-
-    /// Mean R² over predicates whose conditional ranking has at least
-    /// `min_points` distinct objects (degenerate fits excluded).
-    pub fn average_r2(&self, min_points: usize) -> f64 {
-        let eligible: Vec<f64> = self
-            .fits
-            .iter()
-            .filter(|f| f.n >= min_points)
-            .map(|f| f.r2)
-            .collect();
-        if eligible.is_empty() {
-            return f64::NAN;
-        }
-        eligible.iter().sum::<f64>() / eligible.len() as f64
-    }
-
-    /// `l(p_b) = log2(k(p))` — the code length of a predicate.
-    pub fn pred_bits(&self, p: PredId) -> Bits {
-        Bits::from_rank(u64::from(self.pred_rank[p.idx()]))
-    }
-
-    /// The prominence value of a node under the current metric.
-    pub fn node_prominence(&self, n: NodeId) -> f64 {
-        self.node_prom[n.idx()]
-    }
-
-    /// `l(I_b | p) = log2(k(I | p))` — conditional code length of an
-    /// object given its predicate.
-    pub fn entity_bits(&self, o: NodeId, given: PredId) -> Bits {
-        match self.mode {
-            EntityCodeMode::ExactRank => {
-                let rank = self.exact[given.idx()]
-                    .get(&o.0)
-                    .copied()
-                    .unwrap_or_else(|| (self.kb.index(given).num_objects() + 1) as u32);
-                Bits::from_rank(u64::from(rank))
-            }
-            EntityCodeMode::PowerLaw => {
-                let prom = match self.metric {
-                    Prominence::Frequency => self.kb.index(given).object_frequency(o) as f64,
-                    Prominence::PageRank => self.node_prom[o.idx()],
-                };
-                if prom <= 0.0 {
-                    // Unseen in this context: costs one past the last rank.
-                    return Bits::from_rank((self.kb.index(given).num_objects() + 1) as u64);
-                }
-                Bits::new(self.fits[given.idx()].bits_for(prom))
-            }
-        }
-    }
-
-    /// `l(p₁ | p₀)` — rank of `p₁` among the predicates that allow a
-    /// first-to-second-argument join with `p₀` (the path chain rule).
-    pub fn join_bits(&self, p1: PredId, given_p0: PredId) -> Bits {
-        let map = self.join_ranking(given_p0);
-        let rank = map.get(&p1.0).copied().unwrap_or((map.len() + 2) as u32);
-        Bits::from_rank(u64::from(rank))
-    }
-
-    /// The parallel-join analogue for closed shapes: rank of `q` among the
-    /// predicates `q` with `∃x,y: p₀(x,y) ∧ q(x,y)`.
-    pub fn closed_bits(&self, q: PredId, given_p0: PredId) -> Bits {
-        let map = self.closed_ranking(given_p0);
-        let rank = map.get(&q.0).copied().unwrap_or((map.len() + 2) as u32);
-        Bits::from_rank(u64::from(rank))
-    }
-
-    fn join_ranking(&self, p0: PredId) -> Arc<RankMap> {
-        if let Some(hit) = self.join_rank.lock().get(&p0.0) {
-            return Arc::clone(hit);
-        }
-        // Count, for each predicate q, the distinct objects y of p0 that
-        // are subjects of q — the strength of the p0 ⋈ q join.
-        let mut weight: FxHashMap<u32, u32> = FxHashMap::default();
-        for y in self.kb.index(p0).iter_objects() {
-            for q in self.kb.preds_of_subject(y) {
-                *weight.entry(q).or_insert(0) += 1;
-            }
-        }
-        let map = Arc::new(weights_to_ranks(weight));
-        self.join_rank.lock().insert(p0.0, Arc::clone(&map));
-        map
-    }
-
-    fn closed_ranking(&self, p0: PredId) -> Arc<RankMap> {
-        if let Some(hit) = self.closed_rank.lock().get(&p0.0) {
-            return Arc::clone(hit);
-        }
-        let mut weight: FxHashMap<u32, u32> = FxHashMap::default();
-        for (s, objs) in self
-            .kb
-            .index(p0)
-            .iter_subjects()
-            .take(CLOSED_RANK_SUBJECT_CAP)
-        {
-            for q in self.kb.preds_of_subject(s) {
-                if q == p0.0 {
-                    continue;
-                }
-                if sorted_intersects(objs, self.kb.objects(PredId(q), s)) {
-                    *weight.entry(q).or_insert(0) += 1;
-                }
-            }
-        }
-        let map = Arc::new(weights_to_ranks(weight));
-        self.closed_rank.lock().insert(p0.0, Arc::clone(&map));
-        map
-    }
-
-    /// `Ĉ` of a subgraph expression (the chain-rule sums of §3.1).
-    pub fn subgraph_cost(&self, e: &SubgraphExpr) -> Bits {
-        match *e {
-            SubgraphExpr::Atom { p, o } => self.pred_bits(p) + self.entity_bits(o, p),
-            SubgraphExpr::Path { p0, p1, o } => {
-                self.pred_bits(p0) + self.join_bits(p1, p0) + self.entity_bits(o, p1)
-            }
-            SubgraphExpr::PathStar { p0, p1, o1, p2, o2 } => {
-                self.pred_bits(p0)
-                    + self.join_bits(p1, p0)
-                    + self.entity_bits(o1, p1)
-                    + self.join_bits(p2, p0)
-                    + self.entity_bits(o2, p2)
-            }
-            SubgraphExpr::Closed2 { p0, p1 } => self.pred_bits(p0) + self.closed_bits(p1, p0),
-            SubgraphExpr::Closed3 { p0, p1, p2 } => {
-                self.pred_bits(p0) + self.closed_bits(p1, p0) + self.closed_bits(p2, p0)
-            }
-        }
-    }
-
-    /// `Ĉ(e) = Σ Ĉ(ρᵢ)` over the conjuncts; `Ĉ(⊤) = ∞` (footnote 6).
-    pub fn expression_cost(&self, e: &Expression) -> Bits {
-        if e.is_top() {
-            return Bits::INFINITY;
-        }
-        e.parts.iter().map(|p| self.subgraph_cost(p)).sum()
-    }
-
-    /// Cost of a conjunction given as a slice (used by the search stacks).
-    pub fn parts_cost(&self, parts: &[SubgraphExpr]) -> Bits {
-        if parts.is_empty() {
-            return Bits::INFINITY;
-        }
-        parts.iter().map(|p| self.subgraph_cost(p)).sum()
     }
 }
 
@@ -517,6 +550,43 @@ mod tests {
         let m = CostModel::new(&kb, Prominence::Frequency, EntityCodeMode::PowerLaw);
         let r2 = m.average_r2(2);
         assert!(r2.is_nan() || (0.0..=1.0).contains(&r2) || r2 < 0.0);
+    }
+
+    #[test]
+    fn shared_tables_rank_joins_like_private_ones() {
+        // Views over one `Arc<CostTables>` fill the lazy join rankings
+        // concurrently; every code must equal a private model's.
+        let kb = kb();
+        let tables = Arc::new(CostTables::new(
+            &kb,
+            Prominence::Frequency,
+            EntityCodeMode::PowerLaw,
+        ));
+        let codes = |m: &CostModel<'_>| -> Vec<(Bits, Bits)> {
+            let preds: Vec<PredId> = kb.pred_ids().collect();
+            let mut out = Vec::new();
+            for &p0 in &preds {
+                for &q in &preds {
+                    out.push((m.join_bits(q, p0), m.closed_bits(q, p0)));
+                }
+            }
+            out
+        };
+        let private = codes(&CostModel::new(
+            &kb,
+            Prominence::Frequency,
+            EntityCodeMode::PowerLaw,
+        ));
+        let mut shared: Vec<Vec<(Bits, Bits)>> = vec![Vec::new(); 4];
+        remi_pool::global().scope(|scope| {
+            for slot in shared.iter_mut() {
+                let view = CostModel::over(&kb, Arc::clone(&tables));
+                scope.spawn(move || *slot = codes(&view));
+            }
+        });
+        for codes in shared {
+            assert_eq!(codes, private);
+        }
     }
 
     #[test]

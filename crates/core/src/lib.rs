@@ -68,6 +68,6 @@ pub use bits::Bits;
 pub use complexity::{CostModel, EntityCodeMode, Prominence};
 pub use config::{EnumerationConfig, LanguageBias, RemiConfig};
 pub use expr::{Expression, SubgraphExpr};
-pub use miner::{MiningOutcome, MiningStats, Remi};
+pub use miner::{MinerContext, MiningOutcome, MiningStats, Remi};
 pub use search::{ScoredExpr, SearchStatus};
 pub use topk::describe_top_k;

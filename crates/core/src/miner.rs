@@ -1,12 +1,13 @@
 //! The top-level REMI miner: ties enumeration, complexity, and search into
 //! the API a downstream user calls.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use remi_kb::{KnowledgeBase, NodeId};
 
 use crate::bits::Bits;
-use crate::complexity::CostModel;
+use crate::complexity::{CostModel, CostTables};
 use crate::config::RemiConfig;
 use crate::enumerate::{common_subgraph_expressions, EnumContext};
 use crate::eval::{EvalStats, Evaluator};
@@ -61,32 +62,62 @@ impl MiningOutcome {
     }
 }
 
-/// The REMI miner. Construction precomputes the prominence rankings and
-/// the §3.5.2 enumeration context; `describe` calls then mine REs for
-/// arbitrary target sets.
-pub struct Remi<'kb> {
-    kb: &'kb KnowledgeBase,
+/// Everything a [`Remi`] derives from its KB before mining: the `Ĉ`
+/// rankings ([`CostTables`]) and the §3.5.2 enumeration context, with
+/// the configuration they were built for.
+///
+/// It owns no KB, and it is `Send + Sync`: build it once per KB content
+/// and share it by `Arc` between every miner over that content (a KB
+/// with the same triples and the same node and predicate numbering,
+/// whatever its storage layout). [`Remi::new`] builds a private one.
+pub struct MinerContext {
     config: RemiConfig,
+    cost: Arc<CostTables>,
+    enumeration: EnumContext,
+}
+
+impl MinerContext {
+    /// Builds the context of `kb` under `config`: O(KB log KB).
+    pub fn new(kb: &KnowledgeBase, config: RemiConfig) -> Self {
+        MinerContext {
+            cost: Arc::new(CostTables::new(kb, config.prominence, config.entity_code)),
+            enumeration: EnumContext::new(kb, &config.enumeration),
+            config,
+        }
+    }
+}
+
+/// The REMI miner: a KB plus the [`MinerContext`] built from it.
+/// `describe` calls mine REs for arbitrary target sets.
+pub struct Remi<'kb> {
     model: CostModel<'kb>,
-    ctx: EnumContext,
+    context: Arc<MinerContext>,
 }
 
 impl<'kb> Remi<'kb> {
-    /// Builds a miner over `kb` with the given configuration.
+    /// Builds a miner over `kb` with the given configuration: builds a
+    /// private [`MinerContext`] and calls [`Remi::with_context`].
     pub fn new(kb: &'kb KnowledgeBase, config: RemiConfig) -> Self {
-        let model = CostModel::new(kb, config.prominence, config.entity_code);
-        let ctx = EnumContext::new(kb, &config.enumeration);
+        Self::with_context(kb, Arc::new(MinerContext::new(kb, config)))
+    }
+
+    /// A miner over `kb` that shares `context`, which must have been built
+    /// from a KB with `kb`'s content. Costs two `Arc` clones.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kb`'s node or predicate count differs from the one
+    /// the context was built over.
+    pub fn with_context(kb: &'kb KnowledgeBase, context: Arc<MinerContext>) -> Self {
         Remi {
-            kb,
-            config,
-            model,
-            ctx,
+            model: CostModel::over(kb, Arc::clone(&context.cost)),
+            context,
         }
     }
 
     /// The underlying KB.
     pub fn kb(&self) -> &'kb KnowledgeBase {
-        self.kb
+        self.model.kb()
     }
 
     /// The cost model (exposed for experiments that inspect `Ĉ`).
@@ -96,16 +127,21 @@ impl<'kb> Remi<'kb> {
 
     /// The configuration.
     pub fn config(&self) -> &RemiConfig {
-        &self.config
+        &self.context.config
     }
 
     /// Line 1–2 of Algorithm 1: the priority queue of common subgraph
     /// expressions for `targets`, sorted by ascending `Ĉ`. Exposed because
     /// the Table 2 experiment ranks these directly.
     pub fn ranked_common_expressions(&self, targets: &[NodeId]) -> (Vec<ScoredExpr>, bool) {
-        let (common, stats) =
-            common_subgraph_expressions(self.kb, targets, &self.config.enumeration, &self.ctx);
-        let queue = build_queue(&self.model, &common, self.config.threads);
+        let config = self.config();
+        let (common, stats) = common_subgraph_expressions(
+            self.kb(),
+            targets,
+            &config.enumeration,
+            &self.context.enumeration,
+        );
+        let queue = build_queue(&self.model, &common, config.threads);
         (queue, stats.truncated)
     }
 
@@ -113,24 +149,25 @@ impl<'kb> Remi<'kb> {
     /// `config.threads > 1`).
     pub fn describe(&self, targets: &[NodeId]) -> MiningOutcome {
         assert!(!targets.is_empty(), "need at least one target entity");
-        let deadline = Deadline::after(self.config.timeout);
+        let config = self.config();
+        let deadline = Deadline::after(config.timeout);
 
         // lint:allow(wallclock-in-mining): phase-duration instrumentation reported in MiningOutcome, not used in scoring
         let t0 = Instant::now();
         let (queue, truncated) = self.ranked_common_expressions(targets);
         let queue_time = t0.elapsed();
 
-        let eval = Evaluator::new(self.kb, self.config.cache_capacity);
+        let eval = Evaluator::new(self.kb(), config.cache_capacity);
         // lint:allow(wallclock-in-mining): phase-duration instrumentation reported in MiningOutcome, not used in scoring
         let t1 = Instant::now();
-        let result = if self.config.threads > 1 {
+        let result = if config.threads > 1 {
             parallel_remi_search_on(
                 remi_pool::global(),
                 &eval,
                 &queue,
                 targets,
                 &deadline,
-                self.config.threads,
+                config.threads,
             )
         } else {
             remi_search(&eval, &queue, targets, &deadline, 1)
@@ -264,6 +301,40 @@ mod tests {
         for w in queue.windows(2) {
             assert!(w[0].cost <= w[1].cost);
         }
+    }
+
+    #[test]
+    fn a_shared_context_mines_what_a_private_one_does() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<MinerContext>();
+        shareable::<Remi<'_>>();
+
+        let kb = kb();
+        let context = Arc::new(MinerContext::new(&kb, small_config()));
+        // Same content in the other layout: same numbering, so the
+        // context built over the CSR copy serves the succinct one.
+        let succinct = kb.clone().with_backend(remi_kb::Backend::Succinct);
+        for n in 0..kb.num_nodes() as u32 {
+            let targets = [NodeId(n)];
+            let private = Remi::new(&kb, small_config()).describe(&targets);
+            for over in [&kb, &succinct] {
+                let shared = Remi::with_context(over, Arc::clone(&context)).describe(&targets);
+                assert_eq!(shared.best, private.best, "node {n}");
+                assert_eq!(shared.status, private.status, "node {n}");
+                assert_eq!(shared.stats.queue_size, private.stats.queue_size);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different KB")]
+    fn a_context_refuses_a_kb_of_another_shape() {
+        let kb = kb();
+        let context = Arc::new(MinerContext::new(&kb, small_config()));
+        let mut b = KbBuilder::new();
+        b.add_iri("e:a", "p:b", "e:c");
+        let other = b.build().unwrap();
+        Remi::with_context(&other, context);
     }
 
     #[test]

@@ -181,7 +181,10 @@ pub fn build_queue(
     };
     // Chunk arrival order is scheduler-dependent, but the comparator is a
     // total order (cost, then structure), so the sort restores determinism.
-    queue.sort_by(|a, b| a.cost.cmp(&b.cost).then(a.expr.cmp(&b.expr)));
+    // Equal elements are identical, so an unstable sort returns what a
+    // stable one would, without the stable sort's scratch copy of the
+    // queue.
+    queue.sort_unstable_by(|a, b| a.cost.cmp(&b.cost).then(a.expr.cmp(&b.expr)));
     queue
 }
 

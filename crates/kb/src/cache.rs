@@ -36,12 +36,15 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (min 1).
+    /// Creates a cache holding at most `capacity` entries (min 1). The
+    /// storage grows with the entries, not with the capacity: a miner's
+    /// evaluator is built per describe with room for 16,384 lists and
+    /// typically caches a few hundred.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LruCache {
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            slots: Vec::with_capacity(capacity),
+            map: FxHashMap::default(),
+            slots: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -114,6 +117,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.attach_front(evict);
         } else {
             let idx = self.slots.len();
+            if idx == self.slots.capacity() {
+                // Double, but never past the capacity.
+                self.slots
+                    .reserve_exact(idx.max(4).min(self.capacity - idx));
+            }
             self.slots.push(Slot {
                 key: key.clone(),
                 value,
@@ -268,6 +276,23 @@ mod tests {
     fn zero_capacity_is_clamped_to_one() {
         let c: LruCache<u32, u32> = LruCache::new(0);
         assert_eq!(c.capacity(), 1);
+    }
+
+    #[test]
+    fn storage_grows_with_the_entries_up_to_the_capacity() {
+        let mut c: LruCache<u32, u32> = LruCache::new(1000);
+        assert_eq!(c.slots.capacity(), 0);
+        for i in 0..10 {
+            c.put(i, i);
+        }
+        assert!(c.slots.capacity() < 1000);
+        for i in 10..5000 {
+            c.put(i, i);
+        }
+        assert_eq!(c.len(), 1000);
+        assert_eq!(c.slots.capacity(), 1000);
+        assert_eq!(c.get(&4999), Some(&4999));
+        assert!(c.get(&3999).is_none());
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! Both routes answer through [`describe_many`]: a GET is a batch of one.
 //! It probes the response cache for every entity, resolves the misses,
-//! builds one miner (prominence ranking + enumeration context) only when a
-//! resolved miss needs it, mines the misses as pool tasks, and seeds the
-//! cache through [`AppState::seed`]. The handlers keep only what is theirs:
+//! and, when a resolved miss needs one, takes a miner over the pinned
+//! generation's shared miner context ([`AppState::derived_for`]: the
+//! prominence rankings and the enumeration context, built once per KB
+//! generation by the first miss that needs them, not once per request).
+//! It mines the misses as pool tasks, and seeds the cache through
+//! [`AppState::seed`]. The handlers keep only what is theirs:
 //! the GET maps one answer to a status and an `X-Remi-Cache` header, the
 //! POST parses, de-duplicates, and wraps the answers in its envelope.
 
@@ -110,9 +113,10 @@ fn describe_many(
             }
         }
         if !jobs.is_empty() {
-            // One miner shared by every miss; each mines as its own pool
-            // task, the first on this worker (a GET adds no pool hop).
-            let remi = Remi::new(kb, RemiConfig::default());
+            // One miner over the generation's shared context serves every
+            // miss; each mines as its own pool task, the first on this
+            // worker (a GET adds no pool hop).
+            let remi = Remi::with_context(kb, state.derived_for(snap).miner(kb));
             let remi = &remi;
             remi_pool::global().scope(|scope| {
                 let mut jobs = jobs.into_iter();

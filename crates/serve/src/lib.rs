@@ -72,7 +72,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -82,6 +82,7 @@ use remi_obs::{
     series, Clock as _, Counter, Gauge, Histogram, MonoClock, Recorder, Registry, Span,
 };
 
+use remi_core::{MinerContext, Remi, RemiConfig};
 use remi_kb::delta::Snapshot;
 use remi_kb::pagerank::{pagerank, PageRank, PageRankConfig};
 use remi_kb::{CompactionPolicy, KnowledgeBase, LiveKb, NodeId};
@@ -199,35 +200,36 @@ pub(crate) fn resolve(kb: &KnowledgeBase, iri: &str) -> Result<NodeId, ApiError>
         .ok_or_else(|| ApiError::not_found(iri))
 }
 
-/// Renders the `summarize` response for one entity — exactly what
-/// `GET /v1/summarize/{entity}` answers on a cache miss. `ranks` lets the
-/// server reuse its cached PageRank; pass `None` to compute it on demand
-/// (the `linksum` method only).
+/// Renders the `summarize` response for one entity, computing what its
+/// method needs from scratch — exactly what
+/// `GET /v1/summarize/{entity}` answers on a cache miss.
 pub fn summarize_body(
     kb: &KnowledgeBase,
     iri: &str,
     k: usize,
     method: &str,
-    ranks: Option<&PageRank>,
+) -> Result<String, ApiError> {
+    render_summary(kb, &Derived::new(Arc::default()), iri, k, method)
+}
+
+/// Renders a `summarize` response, reading the miner context (`remi`)
+/// and PageRank (`linksum`) from `derived`, which must belong to `kb`'s
+/// generation.
+fn render_summary(
+    kb: &KnowledgeBase,
+    derived: &Derived,
+    iri: &str,
+    k: usize,
+    method: &str,
 ) -> Result<String, ApiError> {
     let entity = resolve(kb, iri)?;
     let summary = match method {
         "remi" => {
-            let model = remi_core::complexity::CostModel::new(
-                kb,
-                remi_core::complexity::Prominence::Frequency,
-                remi_core::complexity::EntityCodeMode::PowerLaw,
-            );
-            remi_essum::remi_summary(kb, &model, entity, k)
+            let remi = Remi::with_context(kb, derived.miner(kb));
+            remi_essum::remi_summary(kb, remi.model(), entity, k)
         }
         "faces" => remi_essum::faces_summary(kb, entity, k),
-        "linksum" => match ranks {
-            Some(pr) => remi_essum::linksum_summary(kb, pr, entity, k),
-            None => {
-                let pr = pagerank(kb, PageRankConfig::default());
-                remi_essum::linksum_summary(kb, &pr, entity, k)
-            }
-        },
+        "linksum" => remi_essum::linksum_summary(kb, derived.ranks(kb), entity, k),
         other => {
             return Err(ApiError::bad(format!(
                 "unknown method {other:?} (expected remi, faces, or linksum)"
@@ -282,6 +284,9 @@ struct Metrics {
     phases: Vec<(&'static str, Arc<Histogram>)>,
     /// Requests past the `--slow-request-ms` threshold.
     slow: Arc<Counter>,
+    /// Miner contexts built (at most one per KB generation, plus one per
+    /// request pinned on a generation that rotated away).
+    miner_builds: Arc<Counter>,
 }
 
 /// Status values whose per-route latency families are pre-registered at
@@ -331,6 +336,7 @@ impl Metrics {
                 })
                 .collect(),
             slow: registry.counter("remi_http_slow_requests_total"),
+            miner_builds: registry.counter("remi_miner_builds_total"),
         }
     }
 }
@@ -346,6 +352,44 @@ pub(crate) struct Trace<'c> {
     /// `?explain=1`: `POST /v1/query` bypasses the cache and carries its own
     /// plan trace in the response body (see `query.rs`).
     pub(crate) explain: bool,
+}
+
+/// What requests derive from one KB generation's content and share: the
+/// miner context (describe, and summarize's `remi` method) and PageRank
+/// (`linksum`). Each is built at most once, by the first request that
+/// needs it; concurrent first requests wait on that one build. It owns
+/// no KB, so it never pins a folded base in memory.
+pub(crate) struct Derived {
+    /// `remi_miner_builds_total`.
+    builds: Arc<Counter>,
+    miner: OnceLock<Arc<MinerContext>>,
+    ranks: OnceLock<PageRank>,
+}
+
+impl Derived {
+    fn new(builds: Arc<Counter>) -> Derived {
+        Derived {
+            builds,
+            miner: OnceLock::new(),
+            ranks: OnceLock::new(),
+        }
+    }
+
+    /// The miner context (sequential REMI, the default configuration) of
+    /// `kb`, which must hold this generation's content.
+    pub(crate) fn miner(&self, kb: &KnowledgeBase) -> Arc<MinerContext> {
+        let context = self.miner.get_or_init(|| {
+            self.builds.inc();
+            Arc::new(MinerContext::new(kb, RemiConfig::default()))
+        });
+        Arc::clone(context)
+    }
+
+    /// PageRank over `kb`, which must hold this generation's content.
+    fn ranks(&self, kb: &KnowledgeBase) -> &PageRank {
+        self.ranks
+            .get_or_init(|| pagerank(kb, PageRankConfig::default()))
+    }
 }
 
 pub(crate) struct AppState {
@@ -368,13 +412,13 @@ pub(crate) struct AppState {
     /// min 8): idle parked connections are cheap, so this only bounds
     /// file descriptors and parser buffers.
     max_conns: u64,
-    /// PageRank for `linksum`, computed on demand. Keyed by
+    /// The state derived from the current generation's content, keyed by
     /// `(epoch, fingerprint)`: validity is by *fingerprint* (equal
-    /// fingerprint ⟹ equal content, so the ranks survive compactions,
-    /// which bump the epoch but not the fingerprint), while the epoch
-    /// orders entries so an old-epoch straggler never evicts the current
-    /// ranks.
-    ranks: Mutex<Option<(u64, u64, Arc<PageRank>)>>,
+    /// fingerprint ⟹ equal content and numbering, so it survives
+    /// compactions, which bump the epoch but not the fingerprint), while
+    /// the epoch orders generations so an old-epoch straggler never
+    /// evicts the current one. The lock is held only to swap an `Arc`.
+    generation: Mutex<(u64, u64, Arc<Derived>)>,
     /// The process-wide flight recorder: the planner, the live KB, the
     /// pool, and the HTTP layer all emit into this one bounded ring;
     /// `GET /v1/debug/events` and the slow/500 stderr tails read it back.
@@ -396,24 +440,21 @@ pub(crate) struct AppState {
 }
 
 impl AppState {
-    /// PageRank over the pinned snapshot, cached by content fingerprint.
-    /// A request pinned on an *older* epoch computes for itself without
-    /// touching the slot: stragglers must not evict the ranks the current
-    /// epoch's requests share.
-    fn ranks_for(&self, snap: &Snapshot) -> Arc<PageRank> {
-        let mut slot = self.ranks.lock();
-        if let Some((epoch, fp, pr)) = &*slot {
-            if *fp == snap.fingerprint {
-                return Arc::clone(pr);
-            }
-            if *epoch > snap.epoch {
-                drop(slot);
-                return Arc::new(pagerank(snap.kb.as_ref(), PageRankConfig::default()));
-            }
+    /// The derived state of the pinned snapshot's generation. A request
+    /// pinned on an *older* epoch gets a private one and leaves the slot
+    /// alone: stragglers must not evict the state the current epoch's
+    /// requests share.
+    pub(crate) fn derived_for(&self, snap: &Snapshot) -> Arc<Derived> {
+        let mut slot = self.generation.lock();
+        let (epoch, fingerprint, derived) = &*slot;
+        if *fingerprint == snap.fingerprint {
+            return Arc::clone(derived);
         }
-        let pr = Arc::new(pagerank(snap.kb.as_ref(), PageRankConfig::default()));
-        *slot = Some((snap.epoch, snap.fingerprint, Arc::clone(&pr)));
-        pr
+        let fresh = Arc::new(Derived::new(Arc::clone(&self.metrics.miner_builds)));
+        if *epoch < snap.epoch {
+            *slot = (snap.epoch, snap.fingerprint, Arc::clone(&fresh));
+        }
+        fresh
     }
 
     /// Caches a body rendered under `key.kb` — unless that generation
@@ -718,14 +759,7 @@ pub(crate) fn handle_summarize(
         snap,
         trace,
         format!("summarize?entity={iri}&k={k}&method={method}"),
-        || {
-            let ranks = if method == "linksum" {
-                Some(state.ranks_for(snap))
-            } else {
-                None
-            };
-            summarize_body(&snap.kb, iri, k, &method, ranks.as_deref())
-        },
+        || render_summary(&snap.kb, &state.derived_for(snap), iri, k, &method),
     )
 }
 
@@ -1350,6 +1384,12 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
     remi_pool::global().attach_events(Arc::clone(&events), Arc::new(clock));
     let query_events = remi_kb::QueryEvents::new(Arc::clone(&events));
     let http_events = events::HttpEvents::new(&events);
+    let boot = live.snapshot();
+    let generation = (
+        boot.epoch,
+        boot.fingerprint,
+        Arc::new(Derived::new(Arc::clone(&metrics.miner_builds))),
+    );
     let state = Arc::new(AppState {
         live,
         cache,
@@ -1362,7 +1402,7 @@ pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHa
         events,
         query_events,
         http_events,
-        ranks: Mutex::new(None),
+        generation: Mutex::new(generation),
         parked: Mutex::new(Vec::new()),
         compaction_wanted: AtomicBool::new(false),
         compaction_running: AtomicBool::new(false),
@@ -1416,7 +1456,7 @@ mod tests {
     fn summarize_body_renders_each_method() {
         let kb = tiny_kb();
         for method in ["remi", "faces", "linksum"] {
-            let body = summarize_body(&kb, "e:Paris", 2, method, None).unwrap();
+            let body = summarize_body(&kb, "e:Paris", 2, method).unwrap();
             assert!(
                 body.contains(&format!("\"method\":{}", json::escape(method))),
                 "{body}"
@@ -1424,7 +1464,7 @@ mod tests {
             assert!(body.contains("\"facts\":["), "{body}");
         }
         assert_eq!(
-            summarize_body(&kb, "e:Paris", 2, "magic", None)
+            summarize_body(&kb, "e:Paris", 2, "magic")
                 .unwrap_err()
                 .status,
             400
@@ -1510,6 +1550,67 @@ mod tests {
         // GET /v1/ingest is not a thing.
         assert_eq!(c.get("/v1/ingest").unwrap().status, 405);
         server.shutdown();
+    }
+
+    #[test]
+    fn one_miner_build_per_generation() {
+        let server = serve(tiny_kb(), ServeConfig::default()).unwrap();
+        let state = &server.state;
+        let builds = || state.registry.counter("remi_miner_builds_total").get();
+        let mut c = client::Client::connect(server.addr()).unwrap();
+        let ok = |c: &mut client::Client, get: &str| {
+            let resp = c.get(get).unwrap();
+            assert_eq!(resp.status, 200, "{get}: {}", resp.body);
+        };
+        assert_eq!(builds(), 0);
+
+        // Describes (GET and batch, k = 1 and 3) and summarizes on one
+        // generation share one build; `faces` and `linksum` need none.
+        for get in [
+            "/v1/describe/e:Paris",
+            "/v1/describe/e:Lyon?k=3",
+            "/v1/summarize/e:Paris?method=remi",
+            "/v1/summarize/e:Lyon?method=linksum",
+            "/v1/summarize/e:Lyon?method=faces",
+        ] {
+            ok(&mut c, get);
+        }
+        let batch = c
+            .post("/v1/describe", r#"{"entities":["e:Marseille","e:France"]}"#)
+            .unwrap();
+        assert_eq!(batch.status, 200, "{}", batch.body);
+        assert_eq!(builds(), 1);
+        let pinned = state.live.snapshot();
+
+        // An ingest opens a generation: its first miss builds once more.
+        let ingest = c
+            .post("/v1/ingest", "<e:Nantes> <p:cityIn> <e:France> .\n")
+            .unwrap();
+        assert_eq!(ingest.status, 200, "{}", ingest.body);
+        ok(&mut c, "/v1/describe/e:Nantes");
+        ok(&mut c, "/v1/summarize/e:Nantes?method=remi");
+        assert_eq!(builds(), 2);
+
+        // A compaction keeps the content, the numbering and so the context.
+        assert!(state.live.compact().performed);
+        let folded = c.get("/v1/describe/e:Paris?k=2").unwrap();
+        let kb = state.live.snapshot().kb;
+        assert_eq!(folded.body, describe_body(&kb, "e:Paris", 2).unwrap());
+        assert_eq!(builds(), 2);
+
+        // A request pinned before the ingest builds a private context and
+        // leaves the current generation's slot in place.
+        let current = state.derived_for(&state.live.snapshot());
+        let straggler = state.derived_for(&pinned);
+        assert!(!Arc::ptr_eq(&straggler, &current));
+        straggler.miner(&pinned.kb);
+        assert_eq!(builds(), 3);
+        assert!(Arc::ptr_eq(
+            &state.derived_for(&state.live.snapshot()),
+            &current
+        ));
+        ok(&mut c, "/v1/describe/e:Lyon?k=2");
+        assert_eq!(builds(), 3);
     }
 
     #[test]

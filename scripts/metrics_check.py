@@ -25,6 +25,7 @@ REQUIRED_ACTIVE = [
     "remi_kb_ingests_total",
     "remi_kb_ingested_triples_total",
     "remi_cache_misses_total",
+    "remi_miner_builds_total",
 ]
 
 # Families that must at least be exposed (activity depends on scheduling).
@@ -194,6 +195,16 @@ def main(argv):
     if open_conns > total_conns:
         errors.append(
             f"remi_connections_open ({open_conns}) exceeds remi_connections_total ({total_conns})"
+        )
+
+    # A miner context is only ever built to answer a cache miss (at most
+    # one build per generation, plus one per request pinned on a rotated
+    # generation), so builds can never outnumber misses.
+    builds = by_name.get("remi_miner_builds_total", 0)
+    misses = by_name.get("remi_cache_misses_total", 0)
+    if builds > misses:
+        errors.append(
+            f"remi_miner_builds_total ({builds}) exceeds remi_cache_misses_total ({misses})"
         )
 
     if errors:

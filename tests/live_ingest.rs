@@ -14,7 +14,7 @@ use remi_kb::term::Term;
 use remi_kb::{Backend, KbBuilder, KnowledgeBase, LiveKb, NodeId, TripleStore};
 use remi_serve::client::Client;
 use remi_serve::http::percent_encode;
-use remi_serve::{describe_body, serve, ServeConfig};
+use remi_serve::{describe_body, json, serve, ServeConfig};
 
 type Fact = (u8, u8, u8);
 
@@ -410,5 +410,152 @@ fn concurrent_ingest_vs_describe_over_http() {
         fp_purges_after > fp_purges,
         "rotation must purge the stale generation ({fp_purges} → {fp_purges_after})"
     );
+    server.shutdown();
+}
+
+/// One describe request of the differential below: a GET of `gets[0]`
+/// or a batch of every entry, at `k`.
+struct Describe {
+    iris: Vec<String>,
+    k: usize,
+    batch: bool,
+}
+
+/// GETs of every entry of `gets` and one batch of `batch`, at k ∈ {1, 3}.
+fn describes(gets: &[String], batch: &[String]) -> Vec<Describe> {
+    let mut out = Vec::new();
+    for k in [1, 3] {
+        for iri in gets {
+            out.push(Describe {
+                iris: vec![iri.clone()],
+                k,
+                batch: false,
+            });
+        }
+        out.push(Describe {
+            iris: batch.to_vec(),
+            k,
+            batch: true,
+        });
+    }
+    out
+}
+
+/// The served bodies of `reqs`, in order.
+fn served(c: &mut Client, reqs: &[Describe]) -> Vec<String> {
+    reqs.iter()
+        .map(|r| {
+            let resp = if r.batch {
+                let list: Vec<String> = r.iris.iter().map(|i| json::escape(i)).collect();
+                let body = format!("{{\"entities\":[{}],\"k\":{}}}", list.join(","), r.k);
+                c.post("/v1/describe", &body).unwrap()
+            } else {
+                let path = format!("/v1/describe/{}?k={}", percent_encode(&r.iris[0]), r.k);
+                c.get(&path).unwrap()
+            };
+            assert_eq!(resp.status, 200, "{:?}: {}", r.iris, resp.body);
+            resp.body
+        })
+        .collect()
+}
+
+/// Every served body equals the library's rendering over `kb`: a GET is
+/// `describe_body`, a batch wraps one per entity in its envelope.
+fn assert_library_bodies(reqs: &[Describe], bodies: &[String], kb: &KnowledgeBase) {
+    for (r, body) in reqs.iter().zip(bodies) {
+        let mut want: Vec<String> = r
+            .iris
+            .iter()
+            .map(|iri| describe_body(kb, iri, r.k).unwrap())
+            .collect();
+        let want = if r.batch {
+            json::JsonObject::new()
+                .field_u64("count", want.len() as u64)
+                .field_raw("results", &json::array_raw(want))
+                .finish()
+        } else {
+            want.remove(0)
+        };
+        assert_eq!(body, &want, "{:?} k={}", r.iris, r.k);
+    }
+}
+
+/// A server mines every describe of a generation with one shared miner
+/// context, built by the generation's first miss and kept through a
+/// compaction. Across ingest → describe → ingest → describe → compaction
+/// → describe, every served body (GET and batch, k ∈ {1, 3}) is
+/// byte-identical to the library's rendering over a from-scratch `LiveKb`
+/// holding the same triples, and each generation pays for one build.
+#[test]
+fn shared_miner_context_answers_like_a_fresh_miner() {
+    let synth = world();
+    let iris: Vec<String> = {
+        let kb = &synth.kb;
+        kb.entity_ids()
+            .filter(|&e| !kb.preds_of_subject(e).is_empty())
+            .take(10)
+            .map(|e| kb.node_key(e).to_string())
+            .collect()
+    };
+    let mut server = serve(
+        synth.kb.clone(),
+        ServeConfig {
+            // The first batch stays layered, the second schedules a fold.
+            compact_min_delta: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let builds = |c: &mut Client| {
+        let text = c.get("/v1/metrics").unwrap().body;
+        metric(&text, "remi_miner_builds_total").expect("builds counter")
+    };
+    let fresh = LiveKb::new(synth.kb.clone());
+    let ingest = |c: &mut Client, batch: &str| {
+        fresh.append_ntriples(batch).unwrap();
+        let r = c.post("/v1/ingest", batch).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        fresh.snapshot()
+    };
+
+    // The boot generation.
+    let boot = describes(&iris[..1], &iris[1..2]);
+    assert_library_bodies(&boot, &served(&mut c, &boot), &synth.kb);
+    assert_eq!(builds(&mut c), 1);
+
+    // A layered generation: the delta stays below the fold trigger.
+    let snap = ingest(
+        &mut c,
+        "<e:live_x> <p:liveRel> <e:live_y> .\n<e:live_x> <p:liveRel> <e:live_z> .\n",
+    );
+    let layered = describes(&["e:live_x".to_string(), iris[2].clone()], &iris[3..5]);
+    let bodies = served(&mut c, &layered);
+    assert_library_bodies(&layered, &bodies, &snap.kb);
+    assert_eq!(builds(&mut c), 2);
+
+    // The next batch schedules a fold; describe before and after it.
+    let snap = ingest(
+        &mut c,
+        "<e:live_y> <p:liveRel> <e:live_z> .\n<e:live_z> <p:liveRel> <e:live_x> .\n",
+    );
+    let racing = describes(&["e:live_y".to_string()], &iris[5..7]);
+    let before = served(&mut c, &racing);
+    assert_library_bodies(&racing, &before, &snap.kb);
+    let compacted = (0..200).any(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let stats = c.get("/v1/stats").unwrap().body;
+        stats.contains("\"delta_triples\":0")
+    });
+    assert!(compacted, "background compaction never ran");
+    // Fresh cache keys mine on the folded base with the generation's
+    // context; earlier keys answer from the cache, unchanged.
+    let folded = describes(&iris[7..9], &iris[9..10]);
+    let after = served(&mut c, &folded);
+    assert_library_bodies(&folded, &after, &snap.kb);
+    assert!(fresh.compact().performed);
+    assert_library_bodies(&folded, &after, &fresh.snapshot().kb);
+    assert_eq!(served(&mut c, &racing), before);
+    assert_eq!(builds(&mut c), 3);
     server.shutdown();
 }

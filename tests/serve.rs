@@ -72,7 +72,7 @@ fn responses_are_byte_identical_to_library_output_on_both_backends() {
                 .get(&format!("/v1/summarize/{}?k=4", percent_encode(iri)))
                 .unwrap();
             assert_eq!(summary.status, 200, "{iri}: {}", summary.body);
-            let direct = summarize_body(&kb, iri, 4, "remi", None).unwrap();
+            let direct = summarize_body(&kb, iri, 4, "remi").unwrap();
             assert_eq!(summary.body, direct, "summarize({iri}) on {backend}");
 
             bodies.push(cold.body);
