@@ -1,15 +1,11 @@
-//! Storage-backend comparison: binding-lookup latency, membership tests,
-//! group iteration, and load time for the CSR vs succinct layouts, plus a
-//! one-shot memory report.
-//!
-//! The succinct backend trades a few extra instructions per lookup
-//! (packed-word extraction, `select1` probes) for a 2–3× smaller resident
-//! store and a zero-copy `RKB2` load path. This bench quantifies both
-//! sides of that trade on the shared seed-42 DBpedia-like KB.
+//! The CSR store's binding primitives: lookup latency, membership tests
+//! and group iteration on the shared seed-42 DBpedia-like KB, plus a
+//! one-shot memory report. The `csr_` prefix of the bench ids keeps the
+//! per-commit trend comparable with earlier runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use remi_bench::dbpedia;
-use remi_kb::{Backend, KnowledgeBase, NodeId};
+use remi_kb::{KnowledgeBase, NodeId};
 
 /// A deterministic spread of (pred, subject, object) probes drawn from the
 /// KB's own facts, so every lookup hits a non-empty run.
@@ -80,44 +76,13 @@ fn bench_backend(c: &mut Criterion, name: &str, kb: &KnowledgeBase) {
 }
 
 fn bench(c: &mut Criterion) {
-    let synth = dbpedia();
-    let csr = &synth.kb;
-    let succinct = csr.clone().with_backend(Backend::Succinct);
-
-    let csr_bytes = csr.store_memory().total();
-    let succinct_bytes = succinct.store_memory().total();
+    let csr = &dbpedia().kb;
     println!(
-        "\nstore memory: csr {} bytes, succinct {} bytes ({:.1}% of csr)",
-        csr_bytes,
-        succinct_bytes,
-        100.0 * succinct_bytes as f64 / csr_bytes as f64
+        "\nstore memory: csr {} bytes, rkb2 file {} bytes",
+        csr.store_memory().total(),
+        remi_kb::binfmt::write_bytes(csr).len()
     );
-
     bench_backend(c, "csr", csr);
-    bench_backend(c, "succinct", &succinct);
-
-    // Load times: RKB2 → zero-copy succinct, and RKB2 → CSR (the
-    // conversion `--backend csr` runs after loading).
-    let rkb2 = remi_kb::binfmt::write_bytes(csr);
-    println!("file size: rkb2 {} bytes", rkb2.len());
-    let mut group = c.benchmark_group("backend_bindings");
-    group.sample_size(10);
-    group.bench_function("csr_load_rkb2", |b| {
-        b.iter(|| {
-            remi_kb::binfmt::read_shared(&rkb2, 0.0)
-                .unwrap()
-                .with_backend(Backend::Csr)
-                .num_triples()
-        })
-    });
-    group.bench_function("succinct_load_rkb2", |b| {
-        b.iter(|| {
-            remi_kb::binfmt::read_shared(&rkb2, 0.0)
-                .unwrap()
-                .num_triples()
-        })
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench);

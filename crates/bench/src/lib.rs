@@ -13,7 +13,7 @@
 //! | `ablations`           | §3.5 design-choice ablations           |
 //! | `kb_micro`            | substrate microbenchmarks              |
 //! | `pool_overhead`       | pooled executor vs spawn-per-call      |
-//! | `backend_bindings`    | CSR vs succinct storage backends       |
+//! | `backend_bindings`    | CSR store binding primitives           |
 //!
 //! Every bench prints the regenerated table once before timing, so
 //! `cargo bench` output doubles as the experimental record.

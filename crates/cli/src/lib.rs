@@ -14,7 +14,7 @@ use remi_core::complexity::Prominence;
 use remi_core::eval::Evaluator;
 use remi_core::exceptions::{describe_with_exceptions, verbalize_with_exceptions};
 use remi_core::{LanguageBias, Remi, RemiConfig, SearchStatus};
-use remi_kb::{Backend, KnowledgeBase, NodeId, PredId};
+use remi_kb::{KnowledgeBase, NodeId, PredId};
 
 /// CLI errors: message + suggestion.
 #[derive(Debug)]
@@ -37,12 +37,6 @@ impl From<remi_kb::KbError> for CliError {
 /// Result alias for CLI operations.
 pub type Result<T> = std::result::Result<T, CliError>;
 
-/// Parses a `--backend` value.
-pub fn parse_backend(s: &str) -> Result<Backend> {
-    Backend::parse(s)
-        .ok_or_else(|| CliError(format!("unknown backend {s:?} (expected csr or succinct)")))
-}
-
 /// Loads a KB from a path, dispatching on the extension:
 /// `.nt`/`.ntriples` → N-Triples, anything else → the binary `RKB2`
 /// format. Inverse predicates are rebuilt for the top `inverse_fraction`
@@ -50,20 +44,6 @@ pub fn parse_backend(s: &str) -> Result<Backend> {
 pub fn load_kb(path: &Path, inverse_fraction: f64) -> Result<KnowledgeBase> {
     remi_kb::load_path(path, inverse_fraction)
         .map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))
-}
-
-/// Loads a KB and converts it to the requested backend (`None` keeps the
-/// one it loads into: CSR for N-Triples, succinct for `RKB2`).
-pub fn load_kb_as(
-    path: &Path,
-    inverse_fraction: f64,
-    backend: Option<Backend>,
-) -> Result<KnowledgeBase> {
-    let kb = load_kb(path, inverse_fraction)?;
-    Ok(match backend {
-        Some(b) => kb.with_backend(b),
-        None => kb,
-    })
 }
 
 /// Saves a KB to a path, dispatching on the extension as in [`load_kb`].
@@ -87,12 +67,7 @@ pub fn save_kb(kb: &KnowledgeBase, path: &Path) -> Result<()> {
 fn memory_report(kb: &KnowledgeBase) -> String {
     let mem = kb.store_memory();
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "store memory ({} backend): {} bytes",
-        kb.backend(),
-        mem.total()
-    );
+    let _ = writeln!(out, "store memory: {} bytes", mem.total());
     for (name, bytes) in &mem.components {
         let _ = writeln!(out, "  {bytes:>12}  {name}");
     }
@@ -142,8 +117,8 @@ pub fn cmd_convert(input: &Path, output: &Path) -> Result<String> {
 /// `remi stats`: prints KB statistics — sizes, per-section store memory,
 /// the most frequent predicates and entities (the head of the prominence
 /// ranking `Ĉ` builds on).
-pub fn cmd_stats(path: &Path, backend: Option<Backend>) -> Result<String> {
-    let kb = load_kb_as(path, 0.01, backend)?;
+pub fn cmd_stats(path: &Path) -> Result<String> {
+    let kb = load_kb(path, 0.01)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -187,8 +162,6 @@ pub struct DescribeOpts {
     pub pagerank: bool,
     /// Allow up to this many exceptions (§6 extension).
     pub exceptions: usize,
-    /// Storage backend override (`None` keeps the format-native one).
-    pub backend: Option<Backend>,
 }
 
 impl Default for DescribeOpts {
@@ -199,14 +172,13 @@ impl Default for DescribeOpts {
             timeout_ms: 0,
             pagerank: false,
             exceptions: 0,
-            backend: None,
         }
     }
 }
 
 /// `remi describe`: mines the most intuitive RE for the given entity IRIs.
 pub fn cmd_describe(path: &Path, iris: &[String], opts: &DescribeOpts) -> Result<String> {
-    let kb = load_kb_as(path, 0.01, opts.backend)?;
+    let kb = load_kb(path, 0.01)?;
     let targets: Vec<NodeId> = iris
         .iter()
         .map(|iri| {
@@ -280,24 +252,13 @@ pub fn cmd_describe(path: &Path, iris: &[String], opts: &DescribeOpts) -> Result
         outcome.stats.queue_time,
         outcome.stats.search_time,
     );
-    let _ = writeln!(
-        out,
-        "memory: {} backend, {} store bytes",
-        kb.backend(),
-        kb.store_memory().total()
-    );
+    let _ = writeln!(out, "memory: {} store bytes", kb.store_memory().total());
     Ok(out)
 }
 
 /// `remi summarize`: prints a top-k summary of one entity.
-pub fn cmd_summarize(
-    path: &Path,
-    iri: &str,
-    k: usize,
-    method: &str,
-    backend: Option<Backend>,
-) -> Result<String> {
-    let kb = load_kb_as(path, 0.01, backend)?;
+pub fn cmd_summarize(path: &Path, iri: &str, k: usize, method: &str) -> Result<String> {
+    let kb = load_kb(path, 0.01)?;
     let entity = kb
         .node_id_by_iri(iri)
         .ok_or_else(|| CliError(format!("entity not found in KB: {iri}")))?;
@@ -337,13 +298,8 @@ pub fn cmd_summarize(
 /// slots starting with `?` are variables) against the KB and prints the
 /// joined rows — the offline twin of the server's `POST /query`, sharing
 /// the same `kb::query` engine, pattern syntax, and row order.
-pub fn cmd_query(
-    path: &Path,
-    patterns: &[[String; 3]],
-    limit: usize,
-    backend: Option<Backend>,
-) -> Result<String> {
-    let kb = load_kb_as(path, 0.01, backend)?;
+pub fn cmd_query(path: &Path, patterns: &[[String; 3]], limit: usize) -> Result<String> {
+    let kb = load_kb(path, 0.01)?;
     let q = remi_kb::parse_patterns(&kb, patterns).map_err(|e| CliError(e.to_string()))?;
     let out = remi_kb::solve_bgp(kb.store(), &q.patterns, limit.max(1), None)
         .map_err(|e| CliError(e.to_string()))?;
@@ -384,29 +340,24 @@ pub fn cmd_query(
     Ok(msg)
 }
 
-/// `remi serve`: loads the KB once (converted to `backend` if given, the
-/// one layout the server answers from) and boots the embedded HTTP
-/// service. Returns the running server handle plus the banner to print;
+/// `remi serve`: loads the KB once and boots the embedded HTTP service. Returns the running server handle plus the banner to print;
 /// the caller decides whether to block on
 /// [`remi_serve::ServerHandle::wait`] (the binary does) or to drive and
 /// shut it down programmatically (tests do).
 pub fn cmd_serve(
     path: &Path,
-    backend: Option<Backend>,
     config: remi_serve::ServeConfig,
 ) -> Result<(remi_serve::ServerHandle, String)> {
-    let kb = load_kb_as(path, 0.01, backend)?;
-    let served = kb.backend();
+    let kb = load_kb(path, 0.01)?;
     let handle = remi_serve::serve(kb, config.clone())
         .map_err(|e| CliError(format!("cannot serve on {}: {e}", config.addr)))?;
     let banner = format!(
-        "serving {} on http://{} ({} backend, cache {} entries, max-inflight {})\n\
+        "serving {} on http://{} (cache {} entries, max-inflight {})\n\
          routes: GET /v1/healthz | GET /v1/stats | GET /v1/metrics | \
          GET /v1/debug/events | GET /v1/describe/{{entity}} | POST /v1/describe | \
          GET /v1/summarize/{{entity}} | POST /v1/ingest | POST /v1/query",
         path.display(),
         handle.addr(),
-        served.name(),
         config.cache_entries,
         config.max_inflight,
     );
@@ -416,13 +367,8 @@ pub fn cmd_serve(
 /// `remi ingest`: appends one or more N-Triples delta files to a KB
 /// offline — the batch path through the same [`remi_kb::LiveKb`] overlay
 /// the server uses — then compacts and writes the folded result.
-pub fn cmd_ingest(
-    kb_path: &Path,
-    deltas: &[String],
-    out: &Path,
-    backend: Option<Backend>,
-) -> Result<String> {
-    let kb = load_kb_as(kb_path, 0.01, backend)?;
+pub fn cmd_ingest(kb_path: &Path, deltas: &[String], out: &Path) -> Result<String> {
+    let kb = load_kb(kb_path, 0.01)?;
     let live = remi_kb::LiveKb::new(kb);
     let mut out_msg = String::new();
     let mut appended = 0usize;
@@ -472,17 +418,13 @@ remi — mine intuitive referring expressions on RDF knowledge bases
 USAGE:
   remi gen --profile dbpedia|wikidata [--scale F] [--seed N] -o <kb.{rkb,nt}>
   remi convert <in.{rkb,nt}> <out.{rkb,nt}>
-  remi stats <kb> [--backend csr|succinct]
+  remi stats <kb>
   remi describe <kb> <iri>... [--standard] [--threads N] [--timeout-ms N]
                               [--pagerank] [--exceptions N]
-                              [--backend csr|succinct]
   remi summarize <kb> <iri> [--k N] [--method remi|faces|linksum]
-                            [--backend csr|succinct]
   remi ingest <kb> <delta.nt>... -o <out.{rkb,nt}>
-                  [--backend csr|succinct]
   remi query <kb> <s> <p> <o> [<s> <p> <o> ...] [--limit N]
-                  [--backend csr|succinct]
-  remi serve <kb> [--addr HOST:PORT] [--backend csr|succinct]
+  remi serve <kb> [--addr HOST:PORT]
                   [--cache-entries N] [--max-inflight N]
                   [--compact-threshold N] [--slow-request-ms N]
                   [--event-capacity N]
@@ -492,7 +434,7 @@ QUERYING:
   A slot starting with '?' is a variable (e.g. remi query kb.rkb
   '?city' p:cityIn e:France '?city' p:capitalOf '?country'); everything
   else is an IRI. Rows print tab-separated under a ?var header, in a
-  deterministic order that is identical across backends.
+  deterministic order that ingests and compactions do not change.
 
 SERVING:
   remi serve keeps the KB resident and answers JSON over HTTP/1.1
@@ -513,8 +455,8 @@ SERVING:
 OBSERVABILITY:
   GET /v1/metrics exposes counters, gauges, and log2-bucketed latency
   histograms for every route, pool scheduling, and kb publish/compaction
-  (every count lives there; /v1/stats reports only KB, epoch, backend and
-  config facts); every route's per-status latency families are registered
+  (every count lives there; /v1/stats reports only KB, epoch and config
+  facts); every route's per-status latency families are registered
   at boot, so scrapes before traffic already expose them. Appending
   ?trace=1 to any JSON endpoint embeds that request's per-phase timings
   in the response body; ?explain=1 on POST /v1/query embeds the planner's
@@ -540,9 +482,8 @@ INGESTION:
 
 STORAGE:
   .nt/.ntriples files are N-Triples; any other path is an RKB2 file of
-  succinct bitmap triples, which loads zero-copy into the succinct
-  backend. --backend converts after loading, so any command runs on
-  either layout.
+  HDT-style bitmap triples. Either way the KB loads into one in-memory
+  layout, per-predicate compressed sparse rows.
 
 ENVIRONMENT:
   REMI_THREADS  sizes the shared worker pool and is the default for
@@ -571,7 +512,7 @@ mod tests {
         let msg = cmd_gen("dbpedia", 0.2, 5, &kb_path).unwrap();
         assert!(msg.contains("base triples"));
 
-        let stats = cmd_stats(&kb_path, None).unwrap();
+        let stats = cmd_stats(&kb_path).unwrap();
         assert!(stats.contains("top predicates"));
 
         let out = cmd_describe(
@@ -622,7 +563,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("not found"));
-        assert!(cmd_summarize(&kb_path, "e:Person_0", 5, "magic", None).is_err());
+        assert!(cmd_summarize(&kb_path, "e:Person_0", 5, "magic").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -632,7 +573,7 @@ mod tests {
         let kb_path = dir.join("kb.rkb");
         cmd_gen("dbpedia", 0.2, 9, &kb_path).unwrap();
         for method in ["remi", "faces", "linksum"] {
-            let out = cmd_summarize(&kb_path, "e:Person_0", 5, method, None).unwrap();
+            let out = cmd_summarize(&kb_path, "e:Person_0", 5, method).unwrap();
             assert!(out.contains("summary of"), "{method}: {out}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -658,7 +599,6 @@ mod tests {
             &kb_path,
             &[delta_path.to_str().unwrap().to_string()],
             &out_path,
-            None,
         )
         .unwrap();
         // +2: the appended base fact plus its mirror into the
@@ -677,13 +617,8 @@ mod tests {
         // A malformed delta is rejected with a file-scoped error.
         let bad = dir.join("bad.nt");
         std::fs::write(&bad, "not ntriples\n").unwrap();
-        let err = cmd_ingest(
-            &kb_path,
-            &[bad.to_str().unwrap().to_string()],
-            &out_path,
-            None,
-        )
-        .unwrap_err();
+        let err =
+            cmd_ingest(&kb_path, &[bad.to_str().unwrap().to_string()], &out_path).unwrap_err();
         assert!(err.to_string().contains("bad.nt"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -701,7 +636,7 @@ mod tests {
         .unwrap();
         let pat = |s: &str, p: &str, o: &str| [s.to_string(), p.to_string(), o.to_string()];
 
-        let out = cmd_query(&kb_path, &[pat("?city", "p:cityIn", "e:France")], 100, None).unwrap();
+        let out = cmd_query(&kb_path, &[pat("?city", "p:cityIn", "e:France")], 100).unwrap();
         assert!(out.starts_with("?city\n"), "{out}");
         assert!(out.contains("e:Paris") && out.contains("e:Lyon"), "{out}");
         assert!(out.ends_with("2 row(s)\n"), "{out}");
@@ -714,21 +649,19 @@ mod tests {
                 pat("?city", "p:capitalOf", "?country"),
             ],
             100,
-            None,
         )
         .unwrap();
         assert!(joined.contains("e:Paris\te:France"), "{joined}");
         assert!(joined.ends_with("1 row(s)\n"), "{joined}");
 
-        let truncated =
-            cmd_query(&kb_path, &[pat("?city", "p:cityIn", "e:France")], 1, None).unwrap();
+        let truncated = cmd_query(&kb_path, &[pat("?city", "p:cityIn", "e:France")], 1).unwrap();
         assert!(
             truncated.ends_with("1 row(s) (truncated at --limit)\n"),
             "{truncated}"
         );
 
         // Pattern errors surface as runtime CliErrors, not panics.
-        let err = cmd_query(&kb_path, &[pat("?", "p:cityIn", "e:France")], 10, None).unwrap_err();
+        let err = cmd_query(&kb_path, &[pat("?", "p:cityIn", "e:France")], 10).unwrap_err();
         assert!(err.to_string().contains("must not be empty"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

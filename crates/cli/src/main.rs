@@ -158,18 +158,10 @@ fn run(args: &[String]) -> Result<Action, Failure> {
             let Some(path) = args.get(1) else {
                 return Err(err("stats takes a KB path"));
             };
-            let mut backend = None;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--backend" => {
-                        let v = it.next().ok_or_else(|| err("missing flag value"))?;
-                        backend = Some(parse_backend_usage(v)?);
-                    }
-                    other => return Err(err(&format!("unknown flag {other}"))),
-                }
+            if let Some(other) = args.get(2) {
+                return Err(err(&format!("unknown flag {other}")));
             }
-            print(cmd_stats(&PathBuf::from(path), backend))
+            print(cmd_stats(&PathBuf::from(path)))
         }
         "describe" => {
             let Some(path) = args.get(1) else {
@@ -198,7 +190,6 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                             .parse()
                             .map_err(|_| err("--exceptions takes an int"))?
                     }
-                    "--backend" => opts.backend = Some(parse_backend_usage(&value()?)?),
                     iri if !iri.starts_with("--") => iris.push(iri.to_string()),
                     other => return Err(err(&format!("unknown flag {other}"))),
                 }
@@ -214,7 +205,6 @@ fn run(args: &[String]) -> Result<Action, Failure> {
             };
             let mut k = 5usize;
             let mut method = "remi".to_string();
-            let mut backend = None;
             let mut it = args[3..].iter();
             while let Some(a) = it.next() {
                 let mut value = || it.next().cloned().ok_or_else(|| err("missing flag value"));
@@ -228,31 +218,22 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                             )));
                         }
                     }
-                    "--backend" => backend = Some(parse_backend_usage(&value()?)?),
                     other => return Err(err(&format!("unknown flag {other}"))),
                 }
             }
-            print(cmd_summarize(
-                &PathBuf::from(path),
-                iri,
-                k,
-                &method,
-                backend,
-            ))
+            print(cmd_summarize(&PathBuf::from(path), iri, k, &method))
         }
         "ingest" => {
             let Some(path) = args.get(1) else {
                 return Err(err("ingest takes a KB path and delta .nt files"));
             };
             let mut out: Option<PathBuf> = None;
-            let mut backend = None;
             let mut deltas = Vec::new();
             let mut it = args[2..].iter();
             while let Some(a) = it.next() {
                 let mut value = || it.next().cloned().ok_or_else(|| err("missing flag value"));
                 match a.as_str() {
                     "-o" | "--out" => out = Some(PathBuf::from(value()?)),
-                    "--backend" => backend = Some(parse_backend_usage(&value()?)?),
                     p if !p.starts_with("--") => deltas.push(p.to_string()),
                     other => return Err(err(&format!("unknown flag {other}"))),
                 }
@@ -261,13 +242,12 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                 return Err(err("ingest needs at least one delta .nt file"));
             }
             let out = out.ok_or_else(|| err("ingest requires -o <path>"))?;
-            print(cmd_ingest(&PathBuf::from(path), &deltas, &out, backend))
+            print(cmd_ingest(&PathBuf::from(path), &deltas, &out))
         }
         "serve" => {
             let Some(path) = args.get(1) else {
                 return Err(err("serve takes a KB path"));
             };
-            let mut backend = None;
             let mut config = remi_serve::ServeConfig {
                 addr: "127.0.0.1:8080".to_string(),
                 ..remi_serve::ServeConfig::default()
@@ -277,7 +257,6 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                 let mut value = || it.next().cloned().ok_or_else(|| err("missing flag value"));
                 match a.as_str() {
                     "--addr" => config.addr = value()?,
-                    "--backend" => backend = Some(parse_backend_usage(&value()?)?),
                     "--cache-entries" => {
                         config.cache_entries = value()?
                             .parse()
@@ -315,7 +294,7 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                     other => return Err(err(&format!("unknown flag {other}"))),
                 }
             }
-            let (handle, banner) = cmd_serve(&PathBuf::from(path), backend, config)?;
+            let (handle, banner) = cmd_serve(&PathBuf::from(path), config)?;
             Ok(Action::Serve(Box::new(handle), banner))
         }
         "query" => {
@@ -323,7 +302,6 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                 return Err(err("query takes a KB path and s p o pattern triples"));
             };
             let mut limit = 100usize;
-            let mut backend = None;
             let mut slots = Vec::new();
             let mut it = args[2..].iter();
             while let Some(a) = it.next() {
@@ -336,7 +314,6 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                             .filter(|&n| n >= 1)
                             .ok_or_else(|| err("--limit takes a positive int"))?
                     }
-                    "--backend" => backend = Some(parse_backend_usage(&value()?)?),
                     p if !p.starts_with("--") => slots.push(p.to_string()),
                     other => return Err(err(&format!("unknown flag {other}"))),
                 }
@@ -348,17 +325,11 @@ fn run(args: &[String]) -> Result<Action, Failure> {
                 .chunks_exact(3)
                 .map(|c| [c[0].clone(), c[1].clone(), c[2].clone()])
                 .collect();
-            print(cmd_query(&PathBuf::from(path), &patterns, limit, backend))
+            print(cmd_query(&PathBuf::from(path), &patterns, limit))
         }
         "help" => Ok(Action::Print(USAGE.to_string())),
         other => Err(err(&format!("unknown subcommand {other}"))),
     }
-}
-
-/// `--backend` parsing at the argument layer: a bad value is a usage
-/// error.
-fn parse_backend_usage(v: &str) -> Result<remi_kb::Backend, Failure> {
-    remi_cli::parse_backend(v).map_err(|e| Failure::Usage(e.to_string()))
 }
 
 #[cfg(test)]
@@ -417,8 +388,12 @@ mod tests {
                 "--max-inflight",
             ),
             (
-                vec!["describe", "kb.rkb", "e:x", "--backend", "hologram"],
-                "unknown backend",
+                vec!["describe", "kb.rkb", "e:x", "--backend", "csr"],
+                "unknown flag --backend",
+            ),
+            (
+                vec!["stats", "kb.rkb", "--backend"],
+                "unknown flag --backend",
             ),
             (
                 vec!["gen", "--profile", "freebase", "-o", "x.rkb"],
@@ -494,14 +469,12 @@ mod tests {
             "127.0.0.1:0",
             "--cache-entries",
             "16",
-            "--backend",
-            "csr",
         ]);
         let Ok(Action::Serve(mut handle, banner)) = run(&line) else {
             panic!("serve did not boot");
         };
         assert!(banner.contains("serving"), "{banner}");
-        assert!(banner.contains("(csr backend"), "{banner}");
+        assert!(banner.contains("(cache 16 entries"), "{banner}");
         let mut c = remi_serve::client::Client::connect(handle.addr()).unwrap();
         assert_eq!(c.get("/v1/healthz").unwrap().status, 200);
         handle.shutdown();

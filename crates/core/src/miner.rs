@@ -311,13 +311,13 @@ mod tests {
 
         let kb = kb();
         let context = Arc::new(MinerContext::new(&kb, small_config()));
-        // Same content in the other layout: same numbering, so the
-        // context built over the CSR copy serves the succinct one.
-        let succinct = kb.clone().with_backend(remi_kb::Backend::Succinct);
+        // Same content through an `RKB2` round trip: same numbering, so
+        // the context built over the in-memory KB serves the decoded one.
+        let decoded = remi_kb::binfmt::read_bytes(&remi_kb::binfmt::write_bytes(&kb), 0.0).unwrap();
         for n in 0..kb.num_nodes() as u32 {
             let targets = [NodeId(n)];
             let private = Remi::new(&kb, small_config()).describe(&targets);
-            for over in [&kb, &succinct] {
+            for over in [&kb, &decoded] {
                 let shared = Remi::with_context(over, Arc::clone(&context)).describe(&targets);
                 assert_eq!(shared.best, private.best, "node {n}");
                 assert_eq!(shared.status, private.status, "node {n}");

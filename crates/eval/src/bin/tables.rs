@@ -4,7 +4,6 @@
 //! ```text
 //! remi-tables [--table all|2|3|4|fit|space|map|perceived|ablation]
 //!             [--scale F] [--seed N] [--sets N] [--timeout-ms N] [--threads N]
-//!             [--backend csr|succinct]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -24,7 +23,6 @@ struct Args {
     sets: usize,
     timeout_ms: u64,
     threads: usize,
-    backend: Option<remi_kb::Backend>,
 }
 
 impl Default for Args {
@@ -38,7 +36,6 @@ impl Default for Args {
             // REMI_THREADS (the knob shared by every parallel path) wins
             // over the paper's 8-thread default; --threads beats both.
             threads: remi_pool::env_threads().unwrap_or(8),
-            backend: None,
         }
     }
 }
@@ -66,17 +63,10 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--threads takes an integer")
             }
-            "--backend" => {
-                args.backend = Some(
-                    remi_kb::Backend::parse(&take("--backend"))
-                        .expect("--backend takes csr or succinct"),
-                )
-            }
             "--help" | "-h" => {
                 println!(
                     "remi-tables [--table all|2|3|4|fit|space|map|perceived|ablation] \
-                     [--scale F] [--seed N] [--sets N] [--timeout-ms N] [--threads N] \
-                     [--backend csr|succinct]\n\
+                     [--scale F] [--seed N] [--sets N] [--timeout-ms N] [--threads N]\n\
                      (REMI_THREADS sizes the shared pool and is the --threads default)"
                 );
                 std::process::exit(0);
@@ -98,18 +88,8 @@ fn main() {
         "# generating KBs (dbpedia & wikidata profiles, scale {}, seed {})…",
         args.scale, args.seed
     );
-    let mut db = experiments::dbpedia_kb(args.scale, args.seed);
-    let mut wd = experiments::wikidata_kb(args.scale, args.seed);
-    if let Some(backend) = args.backend {
-        // Re-house both KBs on the requested backend; every driver below
-        // sees identical bindings either way.
-        for synth in [&mut db, &mut wd] {
-            let mut owned = (**synth).clone();
-            owned.kb = owned.kb.with_backend(backend);
-            *synth = std::sync::Arc::new(owned);
-        }
-        eprintln!("# storage backend: {backend}");
-    }
+    let db = experiments::dbpedia_kb(args.scale, args.seed);
+    let wd = experiments::wikidata_kb(args.scale, args.seed);
     eprintln!(
         "# dbpedia-like:  {} facts ({} with inverses), {} predicates",
         db.kb.num_triples(),

@@ -1,123 +1,28 @@
-//! Pluggable storage backends behind the [`TripleStore`] trait.
+//! The storage backends behind the [`TripleStore`] trait.
 //!
 //! Every layer above `remi-kb` retrieves atom bindings through the same
 //! small set of primitives — `objects(p, s)`, `subjects(p, o)`,
-//! `contains`, and per-predicate statistics. This module abstracts those
-//! primitives over interchangeable physical layouts:
+//! `contains`, and per-predicate statistics. Two stores answer them:
 //!
-//! * [`CsrStore`](crate::store) — per-predicate compressed sparse rows of
-//!   plain `u32` arrays; fastest lookups, largest footprint.
-//! * [`BitmapTriples`](crate::succinct) — HDT-style rank/select bitmap
-//!   triples over packed integer sequences; ~2–3× smaller, zero-copy
-//!   loadable from the `RKB2` binary format.
+//! * [`CsrStore`] — the one frozen store:
+//!   per-predicate compressed sparse rows of plain `u32` arrays. It is
+//!   built in memory or decoded from an `RKB2` file.
+//! * [`LayeredStore`](crate::delta::LayeredStore) — a live delta overlay
+//!   merged over a CSR base.
 //!
 //! [`KnowledgeBase`](crate::store::KnowledgeBase) holds a [`StoreBackend`]
 //! enum rather than a trait object so dispatch is a branch-predictable
 //! two-way match instead of a vtable call in every inner loop. Binding
-//! lists are returned as [`Bindings`] — a slice view for CSR, a packed
-//! run view for the succinct store — with O(1) random access either way.
+//! lists are returned as [`Bindings`] — a slice view, or the merge of a
+//! base slice and a delta slice — with O(log) random access either way.
 
 use crate::ids::{NodeId, PredId};
-use crate::store::CsrStore;
-use crate::succinct::{bits_for, BitmapTriples, PackedCursor, PackedSeq, WaveBuilder};
-
-/// Which physical layout a [`StoreBackend`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Per-predicate compressed sparse rows (`u32` arrays).
-    #[default]
-    Csr,
-    /// HDT-style succinct bitmap triples (packed sequences + rank/select).
-    Succinct,
-}
-
-impl Backend {
-    /// Parses a backend name (`csr` / `succinct`).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "csr" => Some(Backend::Csr),
-            "succinct" => Some(Backend::Succinct),
-            _ => None,
-        }
-    }
-
-    /// The canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Csr => "csr",
-            Backend::Succinct => "succinct",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One side of a merged binding list: the physical shape of a non-merged
-/// [`Bindings`] (plain slice or packed run), with O(1) random access.
-#[derive(Debug, Clone, Copy)]
-pub enum Run<'a> {
-    /// A plain sorted slice.
-    Slice(&'a [u32]),
-    /// `len` values of a [`PackedSeq`] starting at `start`.
-    Packed {
-        /// The packed value stream.
-        seq: &'a PackedSeq,
-        /// First value of the run.
-        start: usize,
-        /// Run length.
-        len: usize,
-    },
-}
-
-impl<'a> Run<'a> {
-    /// Number of values in the run.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match *self {
-            Run::Slice(s) => s.len(),
-            Run::Packed { len, .. } => len,
-        }
-    }
-
-    /// True when the run is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th value.
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        match *self {
-            Run::Slice(s) => s[i],
-            Run::Packed { seq, start, len } => {
-                debug_assert!(i < len);
-                seq.get(start + i)
-            }
-        }
-    }
-
-    /// Binary search within the (sorted) run.
-    #[inline]
-    pub fn binary_search(&self, value: u32) -> Result<usize, usize> {
-        match *self {
-            Run::Slice(s) => s.binary_search(&value),
-            Run::Packed { seq, start, len } => seq
-                .binary_search_range(start, start + len, value)
-                .map(|abs| abs - start)
-                .map_err(|abs| abs - start),
-        }
-    }
-}
+use crate::store::{Csr, CsrStore};
 
 /// The `k`-th (0-indexed) element of the sorted merge of two *disjoint*
 /// sorted lists: binary search over how many elements the first `k + 1`
 /// take from `b` — O(log min(|a|, |b|)), no materialisation.
-fn merged_kth(a: Run<'_>, b: &[u32], k: usize) -> u32 {
+fn merged_kth(a: &[u32], b: &[u32], k: usize) -> u32 {
     let (na, nb) = (a.len(), b.len());
     debug_assert!(k < na + nb, "merged index {k} out of {na}+{nb}");
     let mut lo = (k + 1).saturating_sub(na);
@@ -127,7 +32,7 @@ fn merged_kth(a: Run<'_>, b: &[u32], k: usize) -> u32 {
         // Range bounds guarantee j < nb and k - j < na here. Taking only
         // j elements from b is too few exactly when b[j] still precedes
         // the last element taken from a.
-        if b[j] < a.get(k - j) {
+        if b[j] < a[k - j] {
             lo = j + 1;
         } else {
             hi = j;
@@ -136,36 +41,27 @@ fn merged_kth(a: Run<'_>, b: &[u32], k: usize) -> u32 {
     let j = lo;
     let from_b = if j > 0 { Some(b[j - 1]) } else { None };
     if j <= k {
-        let av = a.get(k - j);
+        let av = a[k - j];
         from_b.map_or(av, |bv| bv.max(av))
     } else {
         from_b.expect("k+1 elements all from b")
     }
 }
 
-/// A sorted list of bound ids: a borrowed `u32` slice (CSR), a run inside
-/// a packed sequence (succinct), or the disjoint sorted merge of a base
-/// run and a delta slice (the live delta-overlay view). O(1) length and
-/// O(log) worst-case random access in every representation.
+/// A sorted list of bound ids: a borrowed `u32` slice (CSR), or the
+/// disjoint sorted merge of a base slice and a delta slice (the live
+/// delta-overlay view). O(1) length and O(log) worst-case random access
+/// in both representations.
 #[derive(Debug, Clone, Copy)]
 pub enum Bindings<'a> {
     /// A plain sorted slice.
     Slice(&'a [u32]),
-    /// `len` values of a [`PackedSeq`] starting at `start`.
-    Packed {
-        /// The packed value stream.
-        seq: &'a PackedSeq,
-        /// First value of the run.
-        start: usize,
-        /// Run length.
-        len: usize,
-    },
     /// The sorted merge of a base-store run and a disjoint delta slice
     /// (see [`LayeredStore`](crate::delta::LayeredStore)). Neither side
     /// is empty and no id appears on both sides.
     Merged {
         /// The base-store side.
-        base: Run<'a>,
+        base: &'a [u32],
         /// The delta side: a sorted slice disjoint from `base`.
         delta: &'a [u32],
     },
@@ -182,17 +78,13 @@ impl<'a> Bindings<'a> {
         if delta.is_empty() {
             return base;
         }
-        if base.is_empty() {
-            return Bindings::Slice(delta);
-        }
-        let base = match base {
-            Bindings::Slice(s) => Run::Slice(s),
-            Bindings::Packed { seq, start, len } => Run::Packed { seq, start, len },
+        match base {
+            Bindings::Slice([]) => Bindings::Slice(delta),
+            Bindings::Slice(base) => Bindings::Merged { base, delta },
             Bindings::Merged { .. } => {
                 unreachable!("layered stores never stack on a layered base")
             }
-        };
-        Bindings::Merged { base, delta }
+        }
     }
 
     /// Number of bindings.
@@ -200,7 +92,6 @@ impl<'a> Bindings<'a> {
     pub fn len(&self) -> usize {
         match *self {
             Bindings::Slice(s) => s.len(),
-            Bindings::Packed { len, .. } => len,
             Bindings::Merged { base, delta } => base.len() + delta.len(),
         }
     }
@@ -216,10 +107,6 @@ impl<'a> Bindings<'a> {
     pub fn get(&self, i: usize) -> u32 {
         match *self {
             Bindings::Slice(s) => s[i],
-            Bindings::Packed { seq, start, len } => {
-                debug_assert!(i < len);
-                seq.get(start + i)
-            }
             Bindings::Merged { base, delta } => merged_kth(base, delta, i),
         }
     }
@@ -239,19 +126,15 @@ impl<'a> Bindings<'a> {
     pub fn binary_search(&self, value: u32) -> Result<usize, usize> {
         match *self {
             Bindings::Slice(s) => s.binary_search(&value),
-            Bindings::Packed { seq, start, len } => seq
-                .binary_search_range(start, start + len, value)
-                .map(|abs| abs - start)
-                .map_err(|abs| abs - start),
             Bindings::Merged { base, delta } => {
                 // The merged index of a value is its rank in one side plus
                 // its insertion rank in the other (the sides are disjoint).
                 match delta.binary_search(&value) {
                     Ok(d) => {
-                        let b = base.binary_search(value).unwrap_err();
+                        let b = base.binary_search(&value).unwrap_err();
                         Ok(d + b)
                     }
-                    Err(d) => match base.binary_search(value) {
+                    Err(d) => match base.binary_search(&value) {
                         Ok(b) => Ok(d + b),
                         Err(b) => Err(d + b),
                     },
@@ -270,12 +153,6 @@ impl<'a> Bindings<'a> {
     pub fn to_vec(&self) -> Vec<u32> {
         match *self {
             Bindings::Slice(s) => s.to_vec(),
-            Bindings::Packed { seq, start, len } => {
-                // Unrolled multi-word extraction, not a per-value cursor.
-                let mut out = Vec::new();
-                seq.decode_run(start, len, &mut out);
-                out
-            }
             Bindings::Merged { .. } => self.iter().collect(),
         }
     }
@@ -285,7 +162,6 @@ impl<'a> Bindings<'a> {
     pub fn iter(&self) -> BindingsIter<'a> {
         match *self {
             Bindings::Slice(s) => BindingsIter::Slice(s.iter()),
-            Bindings::Packed { seq, start, len } => BindingsIter::Packed(seq.cursor(start, len)),
             Bindings::Merged { base, delta } => BindingsIter::Merged {
                 base,
                 bpos: 0,
@@ -343,13 +219,10 @@ impl PartialEq for Bindings<'_> {
 pub enum BindingsIter<'a> {
     /// Slice cursor.
     Slice(std::slice::Iter<'a, u32>),
-    /// Streaming packed-run cursor (one word fetch per `64 / width`
-    /// values; see [`PackedSeq::cursor`]).
-    Packed(PackedCursor<'a>),
-    /// Two-cursor merge over a base run and a disjoint delta slice.
+    /// Two-cursor merge over a base slice and a disjoint delta slice.
     Merged {
         /// The base-store side.
-        base: Run<'a>,
+        base: &'a [u32],
         /// Next base position.
         bpos: usize,
         /// The delta side.
@@ -366,14 +239,13 @@ impl Iterator for BindingsIter<'_> {
     fn next(&mut self) -> Option<u32> {
         match self {
             BindingsIter::Slice(it) => it.next().copied(),
-            BindingsIter::Packed(cur) => cur.next(),
             BindingsIter::Merged {
                 base,
                 bpos,
                 delta,
                 dpos,
             } => {
-                let b = (*bpos < base.len()).then(|| base.get(*bpos));
+                let b = base.get(*bpos).copied();
                 let d = delta.get(*dpos).copied();
                 match (b, d) {
                     (Some(bv), Some(dv)) if bv < dv => {
@@ -397,7 +269,6 @@ impl Iterator for BindingsIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = match self {
             BindingsIter::Slice(it) => it.len(),
-            BindingsIter::Packed(cur) => cur.len(),
             BindingsIter::Merged {
                 base,
                 bpos,
@@ -408,9 +279,8 @@ impl Iterator for BindingsIter<'_> {
         (n, Some(n))
     }
 
-    /// O(1): every variant knows its exact remaining length (the merged
-    /// base and delta runs are disjoint), so counting never has to
-    /// decode values.
+    /// O(1): both variants know their exact remaining length (the merged
+    /// base and delta runs are disjoint), so counting never walks values.
     fn count(self) -> usize {
         self.len()
     }
@@ -441,11 +311,9 @@ impl StoreMemory {
 ///
 /// All id lists are sorted ascending; `subject_at`/`object_at` index the
 /// distinct keys of a predicate in ascending order, so iteration order is
-/// identical across backends — algorithms above this trait produce
-/// bit-identical results regardless of the physical layout.
+/// identical across stores — algorithms above this trait produce
+/// bit-identical results whether or not a delta overlay is present.
 pub trait TripleStore {
-    /// Which layout this store uses.
-    fn backend(&self) -> Backend;
     /// Number of predicates indexed.
     fn num_preds(&self) -> usize;
     /// Facts with predicate `p`.
@@ -489,19 +357,13 @@ pub trait TripleStore {
     fn memory(&self) -> StoreMemory;
 }
 
-/// The enum facade over the concrete backends. A small-variant match at
+/// The enum facade over the concrete stores. A two-variant match at
 /// every call keeps dispatch branch-predictable on hot paths (unlike a
 /// `dyn TripleStore` vtable).
-// One StoreBackend exists per KnowledgeBase — never in collections — so
-// the variant size gap costs nothing, while boxing would put a pointer
-// chase on every binding lookup.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum StoreBackend {
     /// Compressed sparse rows.
     Csr(CsrStore),
-    /// Succinct bitmap triples.
-    Succinct(BitmapTriples),
     /// A delta overlay merged over an immutable base store (the live
     /// ingestion view; see [`delta`](crate::delta)).
     Layered(crate::delta::LayeredStore),
@@ -511,18 +373,12 @@ macro_rules! dispatch {
     ($self:expr, $store:ident => $body:expr) => {
         match $self {
             StoreBackend::Csr($store) => $body,
-            StoreBackend::Succinct($store) => $body,
             StoreBackend::Layered($store) => $body,
         }
     };
 }
 
 impl TripleStore for StoreBackend {
-    #[inline]
-    fn backend(&self) -> Backend {
-        dispatch!(self, s => s.backend())
-    }
-
     #[inline]
     fn num_preds(&self) -> usize {
         dispatch!(self, s => TripleStore::num_preds(s))
@@ -593,165 +449,6 @@ impl TripleStore for StoreBackend {
     }
 }
 
-impl StoreBackend {
-    /// Rebuilds this store in another layout. `num_nodes` bounds the id
-    /// space (needed to size the packed widths). Converting a plain store
-    /// to its current layout is a clone; converting a layered store
-    /// always materialises the merged view — folding the delta into a
-    /// fresh base is exactly what compaction does.
-    pub fn to_backend(&self, kind: Backend, num_nodes: usize) -> StoreBackend {
-        match (self, kind) {
-            (StoreBackend::Csr(_), Backend::Csr)
-            | (StoreBackend::Succinct(_), Backend::Succinct) => self.clone(),
-            (_, Backend::Succinct) => StoreBackend::Succinct(build_bitmap_triples(self, num_nodes)),
-            (_, Backend::Csr) => StoreBackend::Csr(CsrStore::from_store(self, num_nodes)),
-        }
-    }
-}
-
-/// Builds [`BitmapTriples`] from any store by walking its sorted groups.
-pub(crate) fn build_bitmap_triples(src: &StoreBackend, num_nodes: usize) -> BitmapTriples {
-    let node_width = bits_for(num_nodes.saturating_sub(1) as u64);
-    let num_preds = src.num_preds();
-    let pred_width = bits_for(num_preds.saturating_sub(1) as u64);
-
-    let mut spo = WaveBuilder::new(node_width, node_width);
-    let mut ops = WaveBuilder::new(node_width, node_width);
-    for p in (0..num_preds as u32).map(PredId) {
-        spo.begin_group();
-        for i in 0..src.num_subjects(p) {
-            spo.push_run(src.subject_at(p, i).0, src.objects_at(p, i).iter());
-        }
-        ops.begin_group();
-        for i in 0..src.num_objects(p) {
-            ops.push_run(src.object_at(p, i).0, src.subjects_at(p, i).iter());
-        }
-    }
-
-    let mut sp = WaveBuilder::new(node_width, pred_width);
-    sp.begin_group();
-    for n in (0..num_nodes as u32).map(NodeId) {
-        let preds = src.preds_of_subject(n);
-        if !preds.is_empty() {
-            sp.push_run(n.0, preds.iter());
-        }
-    }
-
-    BitmapTriples::from_waves(spo.finish(), ops.finish(), sp.finish())
-}
-
-impl TripleStore for BitmapTriples {
-    fn backend(&self) -> Backend {
-        Backend::Succinct
-    }
-
-    fn num_preds(&self) -> usize {
-        BitmapTriples::num_preds(self)
-    }
-
-    #[inline]
-    fn num_facts(&self, p: PredId) -> usize {
-        BitmapTriples::num_facts(self, p)
-    }
-
-    #[inline]
-    fn num_subjects(&self, p: PredId) -> usize {
-        BitmapTriples::num_subjects(self, p)
-    }
-
-    #[inline]
-    fn num_objects(&self, p: PredId) -> usize {
-        BitmapTriples::num_objects(self, p)
-    }
-
-    #[inline]
-    fn objects(&self, p: PredId, s: NodeId) -> Bindings<'_> {
-        match self.objects_run(p, s) {
-            Some((start, len)) => Bindings::Packed {
-                seq: self.spo().vals(),
-                start,
-                len,
-            },
-            None => Bindings::EMPTY,
-        }
-    }
-
-    #[inline]
-    fn subjects(&self, p: PredId, o: NodeId) -> Bindings<'_> {
-        match self.subjects_run(p, o) {
-            Some((start, len)) => Bindings::Packed {
-                seq: self.ops().vals(),
-                start,
-                len,
-            },
-            None => Bindings::EMPTY,
-        }
-    }
-
-    #[inline]
-    fn subject_at(&self, p: PredId, i: usize) -> NodeId {
-        NodeId(self.spo().key_at(p.idx(), i))
-    }
-
-    #[inline]
-    fn objects_at(&self, p: PredId, i: usize) -> Bindings<'_> {
-        let (start, len) = self.spo().run_at(p.idx(), i);
-        Bindings::Packed {
-            seq: self.spo().vals(),
-            start,
-            len,
-        }
-    }
-
-    #[inline]
-    fn object_at(&self, p: PredId, i: usize) -> NodeId {
-        NodeId(self.ops().key_at(p.idx(), i))
-    }
-
-    #[inline]
-    fn subjects_at(&self, p: PredId, i: usize) -> Bindings<'_> {
-        let (start, len) = self.ops().run_at(p.idx(), i);
-        Bindings::Packed {
-            seq: self.ops().vals(),
-            start,
-            len,
-        }
-    }
-
-    #[inline]
-    fn object_group_len(&self, p: PredId, i: usize) -> usize {
-        self.ops().run_len_at(p.idx(), i)
-    }
-
-    #[inline]
-    fn preds_of_subject(&self, s: NodeId) -> Bindings<'_> {
-        match self.preds_run(s) {
-            Some((start, len)) => Bindings::Packed {
-                seq: self.sp().vals(),
-                start,
-                len,
-            },
-            None => Bindings::EMPTY,
-        }
-    }
-
-    fn memory(&self) -> StoreMemory {
-        let mut m = StoreMemory::default();
-        let (k, b, v, bounds) = self.spo().component_sizes();
-        m.add("spo.subjects", k);
-        m.add("spo.bitmap", b);
-        m.add("spo.objects", v);
-        let (k2, b2, v2, bounds2) = self.ops().component_sizes();
-        m.add("ops.objects", k2);
-        m.add("ops.bitmap", b2);
-        m.add("ops.subjects", v2);
-        let (k3, b3, v3, bounds3) = self.sp().component_sizes();
-        m.add("sp.wave", k3 + b3 + v3 + bounds3);
-        m.add("bounds", bounds + bounds2);
-        m
-    }
-}
-
 /// A borrowed, backend-agnostic view of one predicate's index — the
 /// replacement for the old `&PredIndex` reference. `Copy`, so it can be
 /// passed around freely; every accessor dispatches through the enum.
@@ -817,9 +514,6 @@ impl<'a> PredView<'a> {
     }
 
     /// Iterates `(subject, objects)` groups in ascending subject order.
-    /// On the succinct backend the run delimiters are scanned
-    /// sequentially — amortised O(1) per group instead of two `select1`
-    /// probes each.
     pub fn iter_subjects(self) -> GroupIter<'a> {
         GroupIter::new(self.store, self.p, GroupDirection::BySubject)
     }
@@ -852,75 +546,74 @@ enum GroupDirection {
 
 /// Sequential iterator over one predicate's `(key, values)` groups.
 ///
-/// For the CSR backend each step is two slice reads; for the succinct
-/// backend the run-delimiter bitmap is swept word-at-a-time, making a full
-/// predicate scan O(facts/64 + groups) instead of O(groups · log facts).
-/// For the layered backend the base scan and the delta's sorted groups
-/// advance in lockstep — a streaming merge, never a rebuild.
+/// For the CSR store each step is two slice reads. For the layered store
+/// the base groups and the delta's sorted groups advance in lockstep — a
+/// streaming merge, never a rebuild.
 pub struct GroupIter<'a> {
     i: usize,
     n: usize,
+    p: PredId,
+    dir: GroupDirection,
     inner: GroupInner<'a>,
 }
 
 enum GroupInner<'a> {
-    Csr {
-        store: &'a CsrStore,
-        p: PredId,
-        dir: GroupDirection,
-    },
-    Succinct {
-        wave: &'a crate::succinct::WaveIndex,
-        g: usize,
-        /// Streaming delimiter scan: each bitmap word is fetched once
-        /// across the whole group sweep.
-        runs: crate::succinct::RunScanner<'a>,
-    },
+    Csr(&'a CsrStore),
     Layered {
-        /// Group scan over the base store (`None` for predicates the base
-        /// has never seen).
-        base: Option<Box<GroupIter<'a>>>,
-        /// The base side's next group, peeked for the merge.
-        base_next: Option<(NodeId, Bindings<'a>)>,
+        /// The CSR base.
+        base: &'a CsrStore,
+        /// Next base group index.
+        bi: usize,
+        /// Base groups of this predicate (0 for predicates the base has
+        /// never seen).
+        bn: usize,
         /// The delta side: sorted per-key groups of this predicate.
-        delta: &'a crate::store::Csr,
+        delta: &'a Csr,
         /// Next delta group index.
         di: usize,
     },
 }
 
+/// The `i`-th group of `p` in a CSR store, in direction `dir`.
+#[inline]
+fn csr_group(store: &CsrStore, p: PredId, dir: GroupDirection, i: usize) -> (NodeId, Bindings<'_>) {
+    match dir {
+        GroupDirection::BySubject => (store.subject_at(p, i), store.objects_at(p, i)),
+        GroupDirection::ByObject => (store.object_at(p, i), store.subjects_at(p, i)),
+    }
+}
+
+/// Distinct keys of `p` in `store`, in direction `dir`.
+fn num_keys(store: &impl TripleStore, p: PredId, dir: GroupDirection) -> usize {
+    match dir {
+        GroupDirection::BySubject => store.num_subjects(p),
+        GroupDirection::ByObject => store.num_objects(p),
+    }
+}
+
 impl<'a> GroupIter<'a> {
     fn new(store: &'a StoreBackend, p: PredId, dir: GroupDirection) -> Self {
-        let n = match dir {
-            GroupDirection::BySubject => store.num_subjects(p),
-            GroupDirection::ByObject => store.num_objects(p),
-        };
         let inner = match store {
-            StoreBackend::Csr(s) => GroupInner::Csr { store: s, p, dir },
-            StoreBackend::Succinct(bt) => {
-                let wave = match dir {
-                    GroupDirection::BySubject => bt.spo(),
-                    GroupDirection::ByObject => bt.ops(),
-                };
-                GroupInner::Succinct {
-                    wave,
-                    g: p.idx(),
-                    runs: wave.run_scanner(wave.val_start(p.idx())),
-                }
-            }
-            StoreBackend::Layered(l) => {
-                let mut base = (p.idx() < l.base_pred_count())
-                    .then(|| Box::new(GroupIter::new(l.base_store(), p, dir)));
-                let base_next = base.as_mut().and_then(|it| it.next());
-                GroupInner::Layered {
-                    base,
-                    base_next,
-                    delta: l.delta_groups(p, dir == GroupDirection::ByObject),
-                    di: 0,
-                }
-            }
+            StoreBackend::Csr(s) => GroupInner::Csr(s),
+            StoreBackend::Layered(l) => GroupInner::Layered {
+                base: l.base(),
+                bi: 0,
+                bn: if p.idx() < l.base_pred_count() {
+                    num_keys(l.base().as_ref(), p, dir)
+                } else {
+                    0
+                },
+                delta: l.delta_groups(p, dir == GroupDirection::ByObject),
+                di: 0,
+            },
         };
-        GroupIter { i: 0, n, inner }
+        GroupIter {
+            i: 0,
+            n: num_keys(store, p, dir),
+            p,
+            dir,
+            inner,
+        }
     }
 }
 
@@ -933,37 +626,25 @@ impl<'a> Iterator for GroupIter<'a> {
         }
         let i = self.i;
         self.i += 1;
+        let (p, dir) = (self.p, self.dir);
         match &mut self.inner {
-            GroupInner::Csr { store, p, dir } => Some(match dir {
-                GroupDirection::BySubject => (store.subject_at(*p, i), store.objects_at(*p, i)),
-                GroupDirection::ByObject => (store.object_at(*p, i), store.subjects_at(*p, i)),
-            }),
-            GroupInner::Succinct { wave, g, runs } => {
-                let key = wave.key_at(*g, i);
-                let (start, len) = runs.next_run();
-                Some((
-                    NodeId(key),
-                    Bindings::Packed {
-                        seq: wave.vals(),
-                        start,
-                        len,
-                    },
-                ))
-            }
+            GroupInner::Csr(store) => Some(csr_group(store, p, dir, i)),
             GroupInner::Layered {
                 base,
-                base_next,
+                bi,
+                bn,
                 delta,
                 di,
             } => {
+                let b = (*bi < *bn).then(|| csr_group(base, p, dir, *bi));
                 let d = (*di < delta.num_keys()).then(|| (delta.keys()[*di], delta.group(*di)));
-                match (*base_next, d) {
+                match (b, d) {
                     (Some((bk, bv)), Some((dk, _))) if bk.0 < dk => {
-                        *base_next = base.as_mut().and_then(|it| it.next());
+                        *bi += 1;
                         Some((bk, bv))
                     }
                     (Some((bk, bv)), Some((dk, dv))) if bk.0 == dk => {
-                        *base_next = base.as_mut().and_then(|it| it.next());
+                        *bi += 1;
                         *di += 1;
                         Some((bk, Bindings::merged(bv, dv)))
                     }
@@ -972,7 +653,7 @@ impl<'a> Iterator for GroupIter<'a> {
                         Some((NodeId(dk), Bindings::Slice(dv)))
                     }
                     (Some((bk, bv)), None) => {
-                        *base_next = base.as_mut().and_then(|it| it.next());
+                        *bi += 1;
                         Some((bk, bv))
                     }
                     (None, None) => None,
@@ -994,15 +675,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_names_roundtrip() {
-        for b in [Backend::Csr, Backend::Succinct] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert_eq!(Backend::parse("hdt"), None);
-    }
-
-    #[test]
     fn slice_bindings_behave_like_slices() {
         let data = vec![2u32, 5, 9, 11];
         let b = Bindings::from(&data);
@@ -1016,25 +688,6 @@ mod tests {
         assert_eq!(b.iter().collect::<Vec<_>>(), data);
         let total: u32 = b.into_iter().sum();
         assert_eq!(total, 27);
-    }
-
-    #[test]
-    fn packed_bindings_match_slice_bindings() {
-        let values: Vec<u32> = vec![1, 4, 6, 6, 8, 20, 33];
-        let seq = PackedSeq::from_values(6, values.iter().copied());
-        let packed = Bindings::Packed {
-            seq: &seq,
-            start: 2,
-            len: 4,
-        };
-        let slice = Bindings::Slice(&values[2..6]);
-        assert_eq!(packed, slice);
-        assert_eq!(packed.to_vec(), &values[2..6]);
-        assert_eq!(packed.binary_search(8), slice.binary_search(8));
-        assert_eq!(packed.binary_search(7), slice.binary_search(7));
-        assert_eq!(packed.first(), Some(6));
-        let (lo, hi) = packed.iter().size_hint();
-        assert_eq!((lo, hi), (4, Some(4)));
     }
 
     #[test]
@@ -1101,8 +754,8 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Merged bindings over slice *and* packed bases agree with the
-        /// plainly merged vector on every accessor.
+        /// Merged bindings agree with the plainly merged vector on every
+        /// accessor.
         #[test]
         fn prop_merged_bindings_match_naive_merge(
             sides in arb_disjoint(),
@@ -1112,26 +765,14 @@ mod proptests {
             let mut expect: Vec<u32> =
                 base.iter().chain(delta.iter()).copied().collect();
             expect.sort_unstable();
-            let packed = PackedSeq::from_values(
-                9,
-                base.iter().copied(),
-            );
-            let variants = [
-                Bindings::merged(Bindings::Slice(&base), &delta),
-                Bindings::merged(
-                    Bindings::Packed { seq: &packed, start: 0, len: base.len() },
-                    &delta,
-                ),
-            ];
-            for m in variants {
-                prop_assert_eq!(m.len(), expect.len());
-                prop_assert_eq!(m.to_vec(), expect.clone());
-                for (i, &v) in expect.iter().enumerate() {
-                    prop_assert_eq!(m.get(i), v);
-                }
-                prop_assert_eq!(m.binary_search(probe), expect.binary_search(&probe));
-                prop_assert_eq!(m.first(), expect.first().copied());
+            let m = Bindings::merged(Bindings::Slice(&base), &delta);
+            prop_assert_eq!(m.len(), expect.len());
+            prop_assert_eq!(m.to_vec(), expect.clone());
+            for (i, &v) in expect.iter().enumerate() {
+                prop_assert_eq!(m.get(i), v);
             }
+            prop_assert_eq!(m.binary_search(probe), expect.binary_search(&probe));
+            prop_assert_eq!(m.first(), expect.first().copied());
         }
     }
 }

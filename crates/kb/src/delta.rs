@@ -1,10 +1,9 @@
 //! Live KB ingestion: a mutable delta overlay with epoch snapshots and
 //! compaction.
 //!
-//! Every physical backend in this crate is immutable by construction —
-//! CSR arrays and succinct bitmaps cannot absorb a triple in place. This
-//! module turns a frozen [`KnowledgeBase`] into a versioned, appendable
-//! one with the classic LSM split:
+//! The frozen CSR store is immutable by construction — its arrays cannot
+//! absorb a triple in place. This module turns a frozen [`KnowledgeBase`]
+//! into a versioned, appendable one with the classic LSM split:
 //!
 //! * [`DeltaStore`] — one immutable *generation* of appended triples:
 //!   per-predicate sorted runs (reusing the CSR shape) in both
@@ -14,7 +13,7 @@
 //! * [`LayeredStore`] — a [`TripleStore`] answering every primitive by
 //!   merging base + delta [`Bindings`] (merge-view iterators, binary
 //!   search across runs), so miners above the trait see the live view
-//!   unchanged. It is the third [`StoreBackend`] variant.
+//!   unchanged. It is the second [`StoreBackend`] variant.
 //! * [`LiveKb`] — the writer: appends batches under a lock, publishes a
 //!   fresh epoch per batch (readers pin a cheap [`Snapshot`] — an Arc'd
 //!   base plus one immutable delta generation — so in-flight miners
@@ -39,13 +38,13 @@ use std::time::Duration;
 
 use remi_obs::Clock as _;
 
-use crate::backend::{Backend, Bindings, StoreBackend, StoreMemory, TripleStore};
+use crate::backend::{Bindings, StoreBackend, StoreMemory, TripleStore};
 use crate::dict::Dictionary;
 use crate::error::{KbError, Result};
 use crate::freq::FreqVec;
 use crate::fx::FxHashSet;
 use crate::ids::{NodeId, PredId, Triple};
-use crate::store::{derive_inverse_links, Csr, KnowledgeBase};
+use crate::store::{derive_inverse_links, Csr, CsrStore, KnowledgeBase};
 use crate::term::{Term, TermKind};
 
 // ---------------------------------------------------------------------------
@@ -53,8 +52,8 @@ use crate::term::{Term, TermKind};
 
 /// Fingerprint of a KB's logical content: every triple id plus the
 /// dictionary sizes, mixed through the workspace Fx hash. Two KBs holding
-/// the same triples fingerprint identically regardless of storage layout,
-/// so caches keyed by it survive backend conversion *and* compaction —
+/// the same triples fingerprint identically whether or not a delta
+/// overlay holds some of them, so caches keyed by it survive compaction —
 /// and rotate on every ingested batch.
 pub fn content_fingerprint(kb: &KnowledgeBase) -> u64 {
     use std::hash::Hasher;
@@ -154,7 +153,7 @@ impl DeltaStore {
     /// Indexes `triples` (sorted, deduplicated, disjoint from `base`)
     /// against `base`. `num_preds` is the total predicate count of the
     /// live dictionary (≥ the base's own).
-    pub(crate) fn build(base: &StoreBackend, num_preds: usize, triples: Vec<Triple>) -> DeltaStore {
+    pub(crate) fn build(base: &CsrStore, num_preds: usize, triples: Vec<Triple>) -> DeltaStore {
         debug_assert!(triples.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         let base_preds = base.num_preds();
         let num_preds = num_preds.max(base_preds);
@@ -266,24 +265,19 @@ impl DeltaStore {
 // The layered store
 
 /// The live view: a [`DeltaStore`] generation merged over an immutable
-/// base store. Every [`TripleStore`] primitive answers the union; cloning
+/// CSR base. Every [`TripleStore`] primitive answers the union; cloning
 /// is two `Arc` bumps, which is what makes epoch snapshots cheap.
 #[derive(Debug, Clone)]
 pub struct LayeredStore {
-    base: Arc<StoreBackend>,
+    base: Arc<CsrStore>,
     delta: Arc<DeltaStore>,
     base_preds: usize,
 }
 
 impl LayeredStore {
-    /// Layers `delta` over `base`. The base must be a materialised store
-    /// — layering over another overlay would stack merge costs; the
-    /// compactor exists precisely so generations never nest.
-    pub fn new(base: Arc<StoreBackend>, delta: Arc<DeltaStore>) -> LayeredStore {
-        assert!(
-            !matches!(&*base, StoreBackend::Layered(_)),
-            "layered base must be a materialised store"
-        );
+    /// Layers `delta` over `base`. The base is a frozen store by type, so
+    /// generations never nest.
+    pub fn new(base: Arc<CsrStore>, delta: Arc<DeltaStore>) -> LayeredStore {
         LayeredStore {
             base_preds: base.num_preds(),
             base,
@@ -292,7 +286,7 @@ impl LayeredStore {
     }
 
     /// The shared base store.
-    pub fn base(&self) -> &Arc<StoreBackend> {
+    pub fn base(&self) -> &Arc<CsrStore> {
         &self.base
     }
 
@@ -304,10 +298,6 @@ impl LayeredStore {
     /// Number of appended triples layered over the base.
     pub fn delta_len(&self) -> usize {
         self.delta.len()
-    }
-
-    pub(crate) fn base_store(&self) -> &StoreBackend {
-        &self.base
     }
 
     pub(crate) fn base_pred_count(&self) -> usize {
@@ -335,12 +325,6 @@ impl LayeredStore {
 }
 
 impl TripleStore for LayeredStore {
-    fn backend(&self) -> Backend {
-        // The user-facing layout name is the base's: the overlay is an
-        // implementation detail the compactor folds away.
-        self.base.backend()
-    }
-
     fn num_preds(&self) -> usize {
         self.delta.preds.len()
     }
@@ -521,9 +505,9 @@ impl Snapshot {
 
     /// Facts (inverses included) in this epoch's compacted base.
     pub fn base_facts(&self) -> usize {
-        let base = match self.kb.store() {
-            StoreBackend::Layered(l) => l.base().as_ref(),
-            other => other,
+        let base: &CsrStore = match self.kb.store() {
+            StoreBackend::Layered(l) => l.base(),
+            StoreBackend::Csr(csr) => csr,
         };
         (0..base.num_preds())
             .map(|p| base.num_facts(PredId(p as u32)))
@@ -698,7 +682,7 @@ impl KbEvents {
 }
 
 struct Writer {
-    base: Arc<StoreBackend>,
+    base: Arc<CsrStore>,
     nodes: Dictionary,
     preds: Dictionary,
     node_freq: FreqVec,
@@ -799,21 +783,15 @@ impl LiveKb {
 
     /// Wraps a KB with an explicit compaction policy.
     pub fn with_policy(kb: KnowledgeBase, policy: CompactionPolicy) -> LiveKb {
-        // A layered KB (e.g. a snapshot of another LiveKb) is folded
-        // first so generations never nest.
-        let kb = match kb.store() {
-            StoreBackend::Layered(_) => {
-                let kind = kb.backend();
-                // `to_backend` always materialises a layered store, even
-                // into its own layout.
-                kb.with_backend(kind)
-            }
-            _ => kb,
-        };
         let fingerprint = content_fingerprint(&kb);
         let num_preds = kb.num_preds();
         let (nodes, preds, store, node_freq, n_base_triples) = kb.into_parts();
-        let base = Arc::new(store);
+        // A layered KB (e.g. a snapshot of another LiveKb) is folded
+        // first so generations never nest.
+        let base = Arc::new(match store {
+            StoreBackend::Csr(csr) => csr,
+            layered => CsrStore::from_store(&layered),
+        });
         let delta = DeltaStore::build(&base, num_preds, Vec::new());
         let layered = StoreBackend::Layered(LayeredStore::new(Arc::clone(&base), Arc::new(delta)));
         let kb = KnowledgeBase::from_parts(
@@ -1144,8 +1122,8 @@ impl LiveKb {
         delta > 0 && delta >= self.policy.min_delta.max(relative)
     }
 
-    /// Folds the current delta into a fresh base store (same layout as
-    /// the old base) and publishes the result. The expensive rebuild runs
+    /// Folds the current delta into a fresh CSR base and publishes the
+    /// result. The expensive rebuild runs
     /// against a pinned snapshot *outside* the writer lock, so appends
     /// arriving mid-compaction only wait for the final swap; readers are
     /// never blocked at all. Content — and therefore the fingerprint — is
@@ -1158,8 +1136,7 @@ impl LiveKb {
         let snap = self.snapshot();
         let (folded_triples, new_base) = match snap.kb.store() {
             StoreBackend::Layered(l) if !l.delta().is_empty() => {
-                let kind = l.backend();
-                let new_base = snap.kb.store().to_backend(kind, snap.kb.num_nodes());
+                let new_base = CsrStore::from_store(snap.kb.store());
                 (Arc::clone(l.delta()), new_base)
             }
             _ => {
@@ -1438,10 +1415,29 @@ mod tests {
     fn content_fingerprint_distinguishes_content_not_backend() {
         let kb = base_kb();
         let fp = content_fingerprint(&kb);
-        assert_eq!(
-            fp,
-            content_fingerprint(&kb.clone().with_backend(Backend::Succinct))
-        );
+        // The same content behind a delta overlay: the first fact moves
+        // into the delta, every id stays put.
+        let mut b = KbBuilder::new();
+        for n in kb.node_ids() {
+            b.node(&kb.node_term(n));
+        }
+        for p in kb.pred_ids() {
+            b.pred(kb.pred_iri(p));
+        }
+        let mut triples = kb.iter_triples();
+        let moved = triples.next().unwrap();
+        for t in triples {
+            b.add_ids(t.s, t.p, t.o);
+        }
+        let live = LiveKb::new(b.build().unwrap());
+        live.append([(
+            kb.node_term(moved.s),
+            kb.pred_iri(moved.p).to_string(),
+            kb.node_term(moved.o),
+        )]);
+        let layered = live.snapshot();
+        assert!(matches!(layered.kb.store(), StoreBackend::Layered(l) if l.delta_len() == 1));
+        assert_eq!(fp, content_fingerprint(&layered.kb));
         let mut b = KbBuilder::new();
         b.add_iri("e:Paris", "p:capitalOf", "e:Germany");
         assert_ne!(fp, content_fingerprint(&b.build().unwrap()));
@@ -1464,7 +1460,7 @@ mod tests {
         // Folded: the overlay is empty again, content identical.
         match after.kb.store() {
             StoreBackend::Layered(l) => assert_eq!(l.delta_len(), 0),
-            other => panic!("expected layered store, got {:?}", other.backend()),
+            StoreBackend::Csr(_) => panic!("expected layered store, got CSR"),
         }
         let a: Vec<Triple> = before.kb.iter_triples().collect();
         let b: Vec<Triple> = after.kb.iter_triples().collect();
@@ -1529,19 +1525,6 @@ mod tests {
         // Event counters are fork-shared: the fork's batch counts in the
         // parent's series.
         assert_eq!(live.instruments().appends.get(), 1);
-    }
-
-    #[test]
-    fn layered_view_over_a_succinct_base() {
-        let live = LiveKb::new(base_kb().with_backend(Backend::Succinct));
-        live.append(vec![iri3("e:Nice", "p:cityIn", "e:France")]);
-        let snap = live.snapshot();
-        assert_eq!(snap.kb.backend(), Backend::Succinct);
-        let p = snap.kb.pred_id("p:cityIn").unwrap();
-        let france = snap.kb.node_id_by_iri("e:France").unwrap();
-        let subs = snap.kb.subjects(p, france).to_vec();
-        assert_eq!(subs.len(), 3);
-        assert!(subs.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

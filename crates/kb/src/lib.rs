@@ -6,17 +6,16 @@
 //!
 //! * [`term`] / [`dict`] / [`ids`] — RDF terms and dictionary encoding.
 //! * [`store`] — the immutable in-memory KB: dictionaries, statistics,
-//!   inverse-predicate materialisation, and the default CSR backend.
-//! * [`backend`] — the [`TripleStore`] abstraction: pluggable storage
-//!   backends behind a branch-predictable enum facade, with [`Bindings`]
-//!   as the universal sorted-id-list view.
-//! * [`succinct`] — HDT-style bitmap triples: rank/select bitvectors and
-//!   packed sequences, zero-copy loadable.
+//!   inverse-predicate materialisation, and `CsrStore`, the one frozen
+//!   store.
+//! * [`backend`] — the [`TripleStore`] abstraction: the CSR store and the
+//!   live layered store behind a branch-predictable enum facade, with
+//!   [`Bindings`] as the universal sorted-id-list view.
 //! * [`delta`] — live ingestion: a mutable delta overlay (`LiveKb`) with
-//!   epoch snapshots and compaction, layered over any backend.
+//!   epoch snapshots and compaction, layered over a CSR base.
 //! * [`ntriples`] — N-Triples parsing and serialisation.
 //! * [`binfmt`] — `RKB2`, the one binary file format: a section table over
-//!   the succinct layout that loads zero-copy.
+//!   HDT-style bitmap triples, decoded straight into CSR on load.
 //! * [`pagerank`] — endogenous PageRank, the `pr` prominence metric.
 //! * [`query`] — triple-pattern resolution ([`TripleStore::solve`]) and
 //!   the small BGP executor behind `POST /query` / `remi query`.
@@ -54,11 +53,11 @@ pub mod ntriples;
 pub mod pagerank;
 pub mod query;
 pub mod store;
-pub mod succinct;
+mod succinct;
 pub mod term;
 pub mod varint;
 
-pub use backend::{Backend, Bindings, PredView, StoreMemory, TripleStore};
+pub use backend::{Bindings, PredView, StoreMemory, TripleStore};
 pub use delta::{content_fingerprint, CompactionPolicy, KbEvents, KbInstruments, LiveKb, Snapshot};
 pub use error::{KbError, Result};
 pub use ids::{NodeId, PredId, Triple};
@@ -74,9 +73,9 @@ pub use term::{Term, TermKind};
 pub use remi_pool::CancelToken;
 
 /// Loads a KB from a path, dispatching on the extension: `.nt` /
-/// `.ntriples` → N-Triples (CSR backend), anything else → `RKB2`
-/// (succinct backend, zero-copy). Inverse predicates are built for the
-/// top `inverse_fraction` of entities unless an `RKB2` file already holds
+/// `.ntriples` → N-Triples, anything else → `RKB2`. Either way the KB
+/// lands in the CSR store. Inverse predicates are built for the top
+/// `inverse_fraction` of entities unless an `RKB2` file already holds
 /// them.
 ///
 /// This is the one shared loading dispatch — the `remi` CLI and the

@@ -1,15 +1,15 @@
 //! Triple-pattern queries and a small BGP (basic graph pattern) executor.
 //!
 //! The storage layer already holds every index a pattern engine needs —
-//! SPO/OPS adjacency, the subject→predicates wave, the merged delta
+//! SPO/OPS adjacency, the subject→predicates index, the merged delta
 //! views — but until now exposed them only through per-primitive calls
 //! (`objects`, `subjects`, `contains`). This module adds the missing
 //! query surface:
 //!
 //! * [`TriplePattern`] — an `(s, p, o)` pattern where each slot is either
 //!   a bound id or a variable, covering all 8 bound/unbound combinations.
-//! * [`TripleStore::solve`] — the one unified entry point: every backend
-//!   (CSR, succinct, layered delta-overlay) resolves any pattern through
+//! * [`TripleStore::solve`] — the one unified entry point: every store
+//!   (CSR, layered delta-overlay) resolves any pattern through
 //!   the same [`SolutionIter`] state machine, streaming matches over
 //!   [`Bindings`] runs with zero materialisation on the common paths.
 //! * [`solve_bgp`] — joins 2–3 patterns on shared variables: patterns are
@@ -26,7 +26,7 @@
 //!
 //! Because the [`TripleStore`] contract fixes iteration order (all id
 //! lists sorted ascending, groups in ascending key order), solutions —
-//! and therefore BGP rows — are bit-identical across backends.
+//! and therefore BGP rows — are bit-identical across stores.
 
 use std::sync::Arc;
 
@@ -914,22 +914,45 @@ pub fn parse_patterns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
     use crate::store::KbBuilder;
+    use crate::term::Term;
 
     /// a —r0→ b, a —r0→ c, b —r0→ c, a —r1→ a, c —r1→ b.
-    fn kb() -> KnowledgeBase {
+    const FACTS: [(&str, &str, &str); 5] = [
+        ("e:a", "p:r0", "e:b"),
+        ("e:a", "p:r0", "e:c"),
+        ("e:b", "p:r0", "e:c"),
+        ("e:a", "p:r1", "e:a"),
+        ("e:c", "p:r1", "e:b"),
+    ];
+
+    fn build(facts: &[(&str, &str, &str)]) -> KnowledgeBase {
         let mut b = KbBuilder::new();
-        for (s, p, o) in [
-            ("e:a", "p:r0", "e:b"),
-            ("e:a", "p:r0", "e:c"),
-            ("e:b", "p:r0", "e:c"),
-            ("e:a", "p:r1", "e:a"),
-            ("e:c", "p:r1", "e:b"),
-        ] {
+        for &(s, p, o) in facts {
             b.add_iri(s, p, o);
         }
         b.build().unwrap()
+    }
+
+    fn kb() -> KnowledgeBase {
+        build(&FACTS)
+    }
+
+    /// The same KB on the layered store: the `r1` facts sit in a delta
+    /// over a CSR base of the `r0` ones. Ids match [`kb`]'s (same intern
+    /// order).
+    fn layered() -> KnowledgeBase {
+        let live = crate::LiveKb::new(build(&FACTS[..3]));
+        live.append(
+            FACTS[3..]
+                .iter()
+                .map(|&(s, p, o)| (Term::iri(s), p.to_string(), Term::iri(o))),
+        );
+        let kb = (*live.snapshot().kb).clone();
+        assert!(
+            matches!(kb.store(), crate::backend::StoreBackend::Layered(l) if l.delta_len() == 2)
+        );
+        kb
     }
 
     fn node(kb: &KnowledgeBase, iri: &str) -> u32 {
@@ -973,14 +996,14 @@ mod tests {
         let kb = kb();
         let (a, c) = (node(&kb, "e:a"), node(&kb, "e:c"));
         let r0 = pred(&kb, "p:r0");
-        let succ = kb.clone().with_backend(Backend::Succinct);
+        let layered = layered();
         for s in [Slot::Bound(a), Slot::Var(0)] {
             for p in [Slot::Bound(r0), Slot::Var(1)] {
                 for o in [Slot::Bound(c), Slot::Var(2)] {
                     let pat = TriplePattern::new(s, p, o);
                     let want = naive(&kb, pat);
                     assert_eq!(solve_sorted(kb.store(), pat), want, "csr {pat:?}");
-                    assert_eq!(solve_sorted(succ.store(), pat), want, "succinct {pat:?}");
+                    assert_eq!(solve_sorted(layered.store(), pat), want, "layered {pat:?}");
                     let est = estimated_cardinality(kb.store(), pat);
                     assert!(
                         est >= want.len(),
@@ -1031,7 +1054,7 @@ mod tests {
     #[test]
     fn traced_solve_mirrors_solve_and_is_backend_independent() {
         let kb = kb();
-        let succ = kb.clone().with_backend(Backend::Succinct);
+        let layered = layered();
         let a = Slot::Bound(node(&kb, "e:a"));
         let b = Slot::Bound(node(&kb, "e:b"));
         let r0 = Slot::Bound(pred(&kb, "p:r0"));
@@ -1044,7 +1067,7 @@ mod tests {
         for patterns in [&scan, &merge] {
             let (out, trace) = solve_bgp_traced(kb.store(), patterns, 100, None).unwrap();
             assert_eq!(out, solve_bgp(kb.store(), patterns, 100, None).unwrap());
-            let (sout, strace) = solve_bgp_traced(succ.store(), patterns, 100, None).unwrap();
+            let (sout, strace) = solve_bgp_traced(layered.store(), patterns, 100, None).unwrap();
             assert_eq!(out, sout);
             assert_eq!(trace, strace);
             assert_eq!(trace.steps.len(), patterns.len());

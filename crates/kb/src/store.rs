@@ -1,17 +1,15 @@
-//! The in-memory knowledge base: dictionary-encoded triples behind a
-//! pluggable storage backend.
+//! The in-memory knowledge base: dictionary-encoded triples over one
+//! frozen store.
 //!
 //! The paper stores KBs as HDT and retrieves bindings for atom `p(X, Y)`
 //! through Jena (§3.5.1). Our substrate offers the same primitive — binding
 //! retrieval for a predicate given the subject or the object — behind the
-//! [`TripleStore`] abstraction: the default [`CsrStore`] answers lookups as
-//! slice views over compressed sparse rows, while the succinct
-//! [`BitmapTriples`](crate::succinct::BitmapTriples) backend answers them
-//! from rank/select-delimited packed sequences at a fraction of the
-//! footprint. Statistics (frequencies, prominence rankings) are
-//! backend-independent and live on [`KnowledgeBase`] itself.
+//! [`TripleStore`] abstraction. [`CsrStore`] is the one frozen store: it
+//! answers lookups as slice views over compressed sparse rows, whether the
+//! KB was built in memory or decoded from an `RKB2` file. Statistics
+//! (frequencies, prominence rankings) live on [`KnowledgeBase`] itself.
 
-use crate::backend::{Backend, Bindings, PredView, StoreBackend, StoreMemory, TripleStore};
+use crate::backend::{Bindings, PredView, StoreBackend, StoreMemory, TripleStore};
 use crate::dict::Dictionary;
 use crate::error::{KbError, Result};
 use crate::freq::FreqVec;
@@ -61,6 +59,19 @@ impl Csr {
         }
     }
 
+    /// Wraps arrays that already hold the CSR shape: `keys` strictly
+    /// increasing, `offsets` one longer than `keys`, starting at 0, and
+    /// ending at `values.len()` (the `RKB2` decoder checks all of this).
+    pub(crate) fn from_parts(keys: Vec<u32>, offsets: Vec<u32>, values: Vec<u32>) -> Csr {
+        debug_assert_eq!(offsets.len(), keys.len() + 1);
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(values.len()));
+        Csr {
+            keys,
+            offsets,
+            values,
+        }
+    }
+
     #[inline]
     pub(crate) fn get(&self, key: u32) -> &[u32] {
         match self.keys.binary_search(&key) {
@@ -93,6 +104,11 @@ impl Csr {
         self.keys.len()
     }
 
+    /// Number of values across all groups.
+    pub(crate) fn num_values(&self) -> usize {
+        self.values.len()
+    }
+
     /// Resident bytes of the three arrays.
     pub(crate) fn size_in_bytes(&self) -> usize {
         (self.keys.len() + self.offsets.len() + self.values.len()) * 4
@@ -107,8 +123,8 @@ struct PredIndex {
     facts: u32,
 }
 
-/// The default storage backend: per-predicate CSR adjacency in both
-/// directions plus a subject→predicates CSR.
+/// The one frozen store: per-predicate CSR adjacency in both directions
+/// plus a subject→predicates CSR.
 #[derive(Debug, Clone, Default)]
 pub struct CsrStore {
     indexes: Vec<PredIndex>,
@@ -139,6 +155,24 @@ impl CsrStore {
         }
     }
 
+    /// Assembles a store from per-predicate `(by_subject, by_object)`
+    /// adjacencies that describe the same facts, and the matching
+    /// subject→predicates adjacency (the `RKB2` decoder's output).
+    pub(crate) fn from_parts(per_pred: Vec<(Csr, Csr)>, subject_preds: Csr) -> CsrStore {
+        let indexes = per_pred
+            .into_iter()
+            .map(|(by_subject, by_object)| PredIndex {
+                facts: by_subject.num_values() as u32,
+                by_subject,
+                by_object,
+            })
+            .collect();
+        CsrStore {
+            indexes,
+            subject_preds,
+        }
+    }
+
     fn subject_preds_of(indexes: &[PredIndex]) -> Csr {
         let mut sp_pairs: Vec<(u32, u32)> = Vec::new();
         for (p, idx) in indexes.iter().enumerate() {
@@ -151,8 +185,9 @@ impl CsrStore {
         Csr::from_sorted_pairs(&sp_pairs)
     }
 
-    /// Rebuilds a CSR store from any other backend.
-    pub(crate) fn from_store(src: &StoreBackend, _num_nodes: usize) -> CsrStore {
+    /// Rebuilds a CSR store from any store (compaction folds a layered
+    /// store this way).
+    pub(crate) fn from_store(src: &StoreBackend) -> CsrStore {
         let num_preds = src.num_preds();
         let mut per_pred = Vec::with_capacity(num_preds);
         for p in (0..num_preds as u32).map(PredId) {
@@ -170,10 +205,6 @@ impl CsrStore {
 }
 
 impl TripleStore for CsrStore {
-    fn backend(&self) -> Backend {
-        Backend::Csr
-    }
-
     fn num_preds(&self) -> usize {
         self.indexes.len()
     }
@@ -365,22 +396,9 @@ impl KnowledgeBase {
         &self.preds
     }
 
-    /// The storage backend in use.
-    pub fn backend(&self) -> Backend {
-        self.store.backend()
-    }
-
-    /// The raw store (for backend-aware tooling like the binary writer).
+    /// The raw store (for store-aware tooling like the binary writer).
     pub fn store(&self) -> &StoreBackend {
         &self.store
-    }
-
-    /// Rebuilds the KB with another storage backend. Dictionaries and
-    /// statistics are shared; only the triple index layout changes, so
-    /// every query answers identically afterwards.
-    pub fn with_backend(mut self, kind: Backend) -> KnowledgeBase {
-        self.store = self.store.to_backend(kind, self.nodes.len());
-        self
     }
 
     /// Per-component resident memory of the triple store (dictionaries
@@ -661,8 +679,7 @@ impl KbBuilder {
     /// exactly the preprocessing of §4 (the paper uses the top 1 %).
     ///
     /// Inverse facts are only created for non-literal objects, matching the
-    /// RDF-compliance footnote of §2.1. The result uses the CSR backend;
-    /// call [`KnowledgeBase::with_backend`] to convert.
+    /// RDF-compliance footnote of §2.1.
     pub fn build_with_inverses(mut self, fraction: f64) -> Result<KnowledgeBase> {
         if self.triples.is_empty() {
             return Err(KbError::Empty);
@@ -720,7 +737,7 @@ impl KbBuilder {
         let num_preds = self.preds.len();
         let (inverse_of, base_of) = derive_inverse_links(&self.preds);
 
-        // Group triples by predicate and build the CSR backend.
+        // Group triples by predicate and build the CSR store.
         let mut per_pred: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_preds];
         for t in &self.triples {
             per_pred[t.p.idx()].push((t.s.0, t.o.0));
@@ -940,65 +957,6 @@ mod tests {
         let total: usize = idx.iter_object_frequencies().map(|(_, c)| c).sum();
         assert_eq!(total, 3);
     }
-
-    #[test]
-    fn backend_roundtrip_preserves_all_primitives() {
-        let kb = small_kb();
-        assert_eq!(kb.backend(), Backend::Csr);
-        let succ = kb.clone().with_backend(Backend::Succinct);
-        assert_eq!(succ.backend(), Backend::Succinct);
-        // Converting back lands on CSR again.
-        let back = succ.clone().with_backend(Backend::Csr);
-        assert_eq!(back.backend(), Backend::Csr);
-
-        for variant in [&succ, &back] {
-            assert_eq!(variant.num_triples(), kb.num_triples());
-            for p in kb.pred_ids() {
-                let a = kb.index(p);
-                let b = variant.index(p);
-                assert_eq!(a.num_facts(), b.num_facts());
-                assert_eq!(a.num_subjects(), b.num_subjects());
-                assert_eq!(a.num_objects(), b.num_objects());
-                for (s, objs) in a.iter_subjects() {
-                    assert_eq!(objs.to_vec(), b.objects_of(s).to_vec());
-                }
-                for o in a.iter_objects() {
-                    assert_eq!(a.subjects_of(o).to_vec(), b.subjects_of(o).to_vec());
-                }
-            }
-            for n in kb.node_ids() {
-                assert_eq!(
-                    kb.preds_of_subject(n).to_vec(),
-                    variant.preds_of_subject(n).to_vec()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn succinct_store_is_smaller_than_csr() {
-        // A KB big enough for packed widths to pay off.
-        let mut b = KbBuilder::new();
-        for i in 0..400u32 {
-            b.add_iri(
-                &format!("e:s{i}"),
-                &format!("p:r{}", i % 5),
-                &format!("e:o{}", i % 97),
-            );
-            b.add_iri(&format!("e:s{i}"), "p:t", &format!("e:o{}", i % 13));
-        }
-        let kb = b.build().unwrap();
-        let csr = kb.store_memory().total();
-        let succ = kb
-            .clone()
-            .with_backend(Backend::Succinct)
-            .store_memory()
-            .total();
-        assert!(
-            succ * 10 <= csr * 6,
-            "succinct {succ} bytes should be <= 60% of CSR {csr} bytes"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1096,31 +1054,32 @@ mod proptests {
             }
         }
 
-        /// The succinct backend answers every primitive identically to the
-        /// CSR backend it was converted from.
+        /// The store an `RKB2` file decodes into answers every primitive
+        /// identically to the built store it was written from.
         #[test]
-        fn prop_backends_agree_on_primitives(facts in arb_facts()) {
+        fn prop_rkb2_decode_agrees_on_primitives(facts in arb_facts()) {
             let kb = build(&facts);
-            let succ = kb.clone().with_backend(Backend::Succinct);
+            let bytes = crate::binfmt::write_bytes(&kb);
+            let decoded = crate::binfmt::read_bytes(&bytes, 0.0).unwrap();
             for p in kb.pred_ids() {
-                prop_assert_eq!(kb.index(p).num_facts(), succ.index(p).num_facts());
+                prop_assert_eq!(kb.index(p).num_facts(), decoded.index(p).num_facts());
                 prop_assert_eq!(
-                    kb.index(p).num_subjects(), succ.index(p).num_subjects());
+                    kb.index(p).num_subjects(), decoded.index(p).num_subjects());
                 prop_assert_eq!(
-                    kb.index(p).num_objects(), succ.index(p).num_objects());
+                    kb.index(p).num_objects(), decoded.index(p).num_objects());
                 for (s, objs) in kb.index(p).iter_subjects() {
-                    prop_assert_eq!(objs.to_vec(), succ.objects(p, s).to_vec());
+                    prop_assert_eq!(objs.to_vec(), decoded.objects(p, s).to_vec());
                 }
                 for (o, freq) in kb.index(p).iter_object_frequencies() {
-                    prop_assert_eq!(freq, succ.index(p).object_frequency(o));
+                    prop_assert_eq!(freq, decoded.index(p).object_frequency(o));
                     prop_assert_eq!(
-                        kb.subjects(p, o).to_vec(), succ.subjects(p, o).to_vec());
+                        kb.subjects(p, o).to_vec(), decoded.subjects(p, o).to_vec());
                 }
             }
             for n in kb.node_ids() {
                 prop_assert_eq!(
                     kb.preds_of_subject(n).to_vec(),
-                    succ.preds_of_subject(n).to_vec()
+                    decoded.preds_of_subject(n).to_vec()
                 );
             }
             // Spot-check membership on the raw facts.
@@ -1128,7 +1087,7 @@ mod proptests {
                 let s = kb.node_id_by_iri(&format!("e:n{s}")).unwrap();
                 let p = kb.pred_id(&format!("p:r{p}")).unwrap();
                 let o = kb.node_id_by_iri(&format!("e:n{o}")).unwrap();
-                prop_assert!(succ.contains(s, p, o));
+                prop_assert!(decoded.contains(s, p, o));
             }
         }
 

@@ -17,9 +17,6 @@
 //! keeps its own per-class latency samples; they are merged after the run
 //! and reported as exact nearest-rank quantiles.
 //!
-//! `--backend` converts the KB before the server boots: a server answers
-//! from the one layout it was handed.
-//!
 //! `--dump-metrics PATH` writes the run's own `GET /v1/metrics`
 //! exposition to a file for `scripts/metrics_check.py`; `--dump-events
 //! PATH` does the same with the `GET /v1/debug/events` flight-recorder
@@ -27,7 +24,7 @@
 //!
 //! Usage:
 //!   remi-serve-load <kb.{rkb,nt}> [--requests N] [--clients C]
-//!                   [--backend csr|succinct] [--cold]
+//!                   [--cold]
 //!                   [--ingest-ratio F] [--query-ratio F]
 //!                   [--dump-metrics PATH] [--dump-events PATH]
 
@@ -45,7 +42,6 @@ struct Args {
     kb_path: String,
     requests: usize,
     clients: usize,
-    backend: Option<remi_kb::Backend>,
     cold: bool,
     ingest_ratio: f64,
     query_ratio: f64,
@@ -58,7 +54,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         kb_path: String::new(),
         requests: 2000,
         clients: 4,
-        backend: None,
         cold: false,
         ingest_ratio: 0.0,
         query_ratio: 0.0,
@@ -86,12 +81,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--clients takes an int".to_string())?
                     .max(1)
             }
-            "--backend" => {
-                let v = value()?;
-                args.backend = Some(
-                    remi_kb::Backend::parse(&v).ok_or_else(|| format!("unknown backend {v:?}"))?,
-                )
-            }
             "--cold" => args.cold = true,
             "--ingest-ratio" => {
                 args.ingest_ratio = value()?
@@ -115,7 +104,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.kb_path.is_empty() {
         return Err("usage: remi-serve-load <kb> [--requests N] [--clients C] \
-                    [--backend csr|succinct] [--cold] \
+                    [--cold] \
                     [--ingest-ratio F] [--query-ratio F] \
                     [--dump-metrics PATH] [--dump-events PATH]"
             .to_string());
@@ -238,10 +227,6 @@ fn query_payloads(kb: &remi_kb::KnowledgeBase) -> Vec<String> {
 fn run(argv: &[String]) -> Result<String, String> {
     let args = parse_args(argv)?;
     let kb = load_kb(&args.kb_path)?;
-    let kb = match args.backend {
-        Some(backend) => kb.with_backend(backend),
-        None => kb,
-    };
     let queries = if args.query_ratio > 0.0 {
         let q = query_payloads(&kb);
         if q.is_empty() {

@@ -2,8 +2,7 @@
 //! miner into a queryable online system.
 //!
 //! The batch tools re-load the KB on every invocation; this crate keeps a
-//! [`KnowledgeBase`] resident (in the storage backend it was handed),
-//! answers describe/summarize queries concurrently, and caches rendered
+//! [`KnowledgeBase`] resident, answers describe/summarize queries concurrently, and caches rendered
 //! responses so repeated queries skip mining entirely. Everything is
 //! hand-rolled on `std::net` — the build image has no async runtime and
 //! no registry — and all concurrency runs as scoped tasks on the
@@ -35,7 +34,7 @@
 //! | route                        | answer                                   |
 //! |------------------------------|------------------------------------------|
 //! | `GET /v1/healthz`            | liveness (exempt from request shedding)  |
-//! | `GET /v1/stats`              | KB, epoch, backend and config facts      |
+//! | `GET /v1/stats`              | KB, epoch and config facts               |
 //! | `GET /v1/metrics`            | Prometheus text exposition (`remi-obs`)  |
 //! | `GET /v1/describe/{entity}`  | best RE(s); `?k=`                        |
 //! | `POST /v1/describe`          | batched entity list, one shared miner    |
@@ -46,10 +45,8 @@
 //!
 //! Mining and query responses are deterministic byte-for-byte: the same
 //! request on the same KB renders the same body whether it was computed or
-//! cached (the `X-Remi-Cache` header says which), and a CSR server answers
-//! exactly what a succinct one does. A server answers from one layout,
-//! the one of the KB it was handed; a `backend` request parameter is
-//! unknown and ignored.
+//! cached (the `X-Remi-Cache` header says which). A `backend` request
+//! parameter is unknown and ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -623,12 +620,6 @@ pub(crate) fn handle_stats(
     _trace: &mut Trace<'_>,
 ) -> Response {
     let kb = &snap.kb;
-    // One layout per server: `resident` keeps its list shape but always
-    // holds exactly this one entry.
-    let resident = JsonObject::new()
-        .field_str("backend", kb.backend().name())
-        .field_u64("bytes", kb.store_memory().total() as u64)
-        .finish();
     let body = JsonObject::new()
         .field_raw(
             "kb",
@@ -641,6 +632,7 @@ pub(crate) fn handle_stats(
                 .field_u64("nodes", kb.num_nodes() as u64)
                 .field_u64("predicates", kb.num_preds() as u64)
                 .field_str("fingerprint", &format!("{:016x}", snap.fingerprint))
+                .field_u64("store_bytes", kb.store_memory().total() as u64)
                 .finish(),
         )
         .field_raw(
@@ -653,13 +645,6 @@ pub(crate) fn handle_stats(
                     "compaction_running",
                     state.compaction_running.load(Ordering::Acquire),
                 )
-                .finish(),
-        )
-        .field_raw(
-            "backends",
-            &JsonObject::new()
-                .field_str("primary", kb.backend().name())
-                .field_raw("resident", &json::array_raw([resident]))
                 .finish(),
         )
         .field_raw(
@@ -1313,9 +1298,7 @@ impl Drop for ServerHandle {
 
 /// Boots a server over `kb`: binds `config.addr`, wraps the KB for live
 /// ingestion, fingerprints it, and starts the accept loop on a dedicated
-/// thread (connections run on the shared pool). The server answers from
-/// `kb`'s storage backend; callers that want the other layout convert
-/// before booting ([`KnowledgeBase::with_backend`]).
+/// thread (connections run on the shared pool).
 pub fn serve(kb: KnowledgeBase, config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;

@@ -8,7 +8,7 @@
 //! bodies through [`QueryParams::merge_json`], and every failure is an
 //! [`ApiError`] tagged with the offending parameter name — rendered as
 //! the consistent `{"error": …, "param": …}` envelope. A parameter this
-//! module does not name is ignored: `backend` (a server answers from one
+//! module does not name is ignored: `backend` (a server has one store
 //! layout) and `threads` (a server mines with sequential REMI), say.
 
 use crate::http::Request;

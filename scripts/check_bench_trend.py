@@ -31,9 +31,6 @@ THRESHOLD_OVERRIDES = {
     "backend_bindings/csr_contains": 0.60,
     "backend_bindings/csr_objects_lookup": 0.60,
     "backend_bindings/csr_subjects_lookup": 0.60,
-    "backend_bindings/succinct_contains": 0.60,
-    "backend_bindings/succinct_objects_lookup": 0.60,
-    "backend_bindings/succinct_subjects_lookup": 0.60,
     # Sub-µs substrate microbenchmarks.
     "kb_micro/": 0.50,
     # Raw pool fan-out latency is dominated by wakeup jitter on shared CI

@@ -3,15 +3,14 @@
 //!
 //! The load-bearing property: after ANY append schedule, the layered
 //! store answers every `TripleStore` primitive identically to a KB
-//! rebuilt from the full triple set — on both physical backends, before
-//! and after compaction. On top of that: epoch snapshots are torn-read
+//! rebuilt from the full triple set, before and after compaction. On top of that: epoch snapshots are torn-read
 //! free under concurrent appends, and fingerprint rotation purges the
 //! serve cache instead of leaking stale generations.
 
 use proptest::prelude::*;
 use remi_kb::delta::CompactionPolicy;
 use remi_kb::term::Term;
-use remi_kb::{Backend, KbBuilder, KnowledgeBase, LiveKb, NodeId, TripleStore};
+use remi_kb::{KbBuilder, KnowledgeBase, LiveKb, NodeId, TripleStore};
 use remi_serve::client::Client;
 use remi_serve::http::percent_encode;
 use remi_serve::{describe_body, json, serve, ServeConfig};
@@ -115,43 +114,40 @@ proptest! {
 
     /// The differential proof: LiveKb over any base, fed any append
     /// schedule, answers exactly like a KB rebuilt from the full triple
-    /// set — on both backends, and again after folding the delta.
+    /// set — and again after folding the delta.
     #[test]
-    fn prop_layered_equals_rebuild_on_both_backends(
+    fn prop_layered_equals_rebuild(
         base in proptest::collection::vec((0u8..24, 0u8..5, 0u8..24), 1..40),
         schedule in proptest::collection::vec(
             proptest::collection::vec((0u8..32, 0u8..7, 0u8..32), 1..20),
             1..5,
         ),
     ) {
-        for backend in [Backend::Csr, Backend::Succinct] {
-            let live = LiveKb::new(build_kb(&base).with_backend(backend));
-            // The reference rebuild interns in the same order the live
-            // path does, so dictionary ids line up exactly.
-            let mut reference = KbBuilder::new();
-            for &(s, p, o) in &base {
+        let live = LiveKb::new(build_kb(&base));
+        // The reference rebuild interns in the same order the live
+        // path does, so dictionary ids line up exactly.
+        let mut reference = KbBuilder::new();
+        for &(s, p, o) in &base {
+            reference.add_iri(
+                &format!("e:n{s}"), &format!("p:r{p}"), &format!("e:n{o}"));
+        }
+        for batch in &schedule {
+            live.append(batch.iter().map(|&f| iri3(f)));
+            for &(s, p, o) in batch {
                 reference.add_iri(
                     &format!("e:n{s}"), &format!("p:r{p}"), &format!("e:n{o}"));
             }
-            for batch in &schedule {
-                live.append(batch.iter().map(|&f| iri3(f)));
-                for &(s, p, o) in batch {
-                    reference.add_iri(
-                        &format!("e:n{s}"), &format!("p:r{p}"), &format!("e:n{o}"));
-                }
-            }
-            let want = reference.build().expect("non-empty");
-            let snap = live.snapshot();
-            prop_assert_eq!(snap.kb.backend(), backend);
-            assert_equivalent(&snap.kb, &want);
-
-            // Compaction folds the overlay without changing a single
-            // answer (or the fingerprint).
-            live.compact();
-            let folded = live.snapshot();
-            prop_assert_eq!(folded.fingerprint, snap.fingerprint);
-            assert_equivalent(&folded.kb, &want);
         }
+        let want = reference.build().expect("non-empty");
+        let snap = live.snapshot();
+        assert_equivalent(&snap.kb, &want);
+
+        // Compaction folds the overlay without changing a single
+        // answer (or the fingerprint).
+        live.compact();
+        let folded = live.snapshot();
+        prop_assert_eq!(folded.fingerprint, snap.fingerprint);
+        assert_equivalent(&folded.kb, &want);
     }
 }
 

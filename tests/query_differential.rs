@@ -1,6 +1,6 @@
 //! Differential tests for the triple-pattern query engine: `solve()`
-//! must answer every pattern shape identically on the CSR, succinct, and
-//! layered (delta-overlay) stores — before and after compaction — and
+//! must answer every pattern shape identically on the CSR and layered
+//! (delta-overlay) stores — before and after compaction — and
 //! `solve_bgp` must agree with a naive nested-loop reference join.
 //!
 //! Dictionaries are id-identical across all the stores by construction
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use remi_kb::term::Term;
 use remi_kb::{
-    solve_bgp, solve_bgp_traced, Backend, KbBuilder, KnowledgeBase, LiveKb, Slot, SolutionIter,
+    solve_bgp, solve_bgp_traced, KbBuilder, KnowledgeBase, LiveKb, Slot, SolutionIter,
     TriplePattern,
 };
 
@@ -31,12 +31,11 @@ fn build_kb(facts: &[Fact]) -> KnowledgeBase {
     b.build().expect("non-empty")
 }
 
-/// The four stores every query must agree on: CSR, succinct, and the
-/// layered store both before and after compaction (base = `facts[..cut]`,
-/// delta = the rest).
+/// The three stores every query must agree on: CSR, and the layered
+/// store both before and after compaction (base = `facts[..cut]`, delta =
+/// the rest).
 fn stores(facts: &[Fact], cut: usize) -> (KnowledgeBase, Vec<(&'static str, KnowledgeBase)>) {
     let csr = build_kb(facts);
-    let succinct = csr.clone().with_backend(Backend::Succinct);
     let live = LiveKb::new(build_kb(&facts[..cut]));
     if cut < facts.len() {
         live.append(facts[cut..].iter().map(|&f| iri3(f)));
@@ -47,7 +46,6 @@ fn stores(facts: &[Fact], cut: usize) -> (KnowledgeBase, Vec<(&'static str, Know
     (
         csr,
         vec![
-            ("succinct", succinct),
             ("layered", (*layered.kb).clone()),
             ("compacted", (*compacted.kb).clone()),
         ],
@@ -149,7 +147,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every single-pattern shape answers identically — same rows, same
-    /// order — on CSR, succinct, layered, and compacted-layered stores.
+    /// order — on CSR, layered, and compacted-layered stores.
     #[test]
     fn prop_solve_is_backend_independent(
         facts in proptest::collection::vec((0u8..12, 0u8..4, 0u8..12), 3..40),
@@ -227,7 +225,7 @@ proptest! {
 
     /// The `?explain=1` plan trace — chosen pattern order, per-pattern
     /// estimated-vs-actual cardinalities, merge-vs-nested join path,
-    /// truncation — is identical on CSR, succinct, layered, and
+    /// truncation — is identical on CSR, layered, and
     /// compacted-layered stores: cardinality estimates come from index
     /// sizes that all backends agree on, so the planner's choices (and
     /// therefore the explain body the server renders) are

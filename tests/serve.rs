@@ -1,9 +1,9 @@
 //! End-to-end tests for the embedded HTTP service: a real server on an
 //! ephemeral port, real TCP requests, and responses asserted
-//! byte-identical to direct `remi_core`/`remi_essum` library output on
-//! both storage backends — including the cache-hit path.
+//! byte-identical to direct `remi_core`/`remi_essum` library output —
+//! including the cache-hit path.
 
-use remi_kb::{Backend, KnowledgeBase};
+use remi_kb::KnowledgeBase;
 use remi_serve::client::Client;
 use remi_serve::http::percent_encode;
 use remi_serve::{describe_body, query_body, serve, summarize_body, ServeConfig, ServerHandle};
@@ -35,71 +35,53 @@ fn metric(text: &str, series: &str) -> Option<u64> {
 }
 
 /// Describe and summarize over HTTP answer exactly the bytes the library
-/// renders, on both backends, cold and cached.
+/// renders, cold and cached.
 #[test]
-fn responses_are_byte_identical_to_library_output_on_both_backends() {
+fn responses_are_byte_identical_to_library_output() {
     let synth = world();
     let iris = target_iris(&synth);
     assert!(!iris.is_empty(), "fixture lost its classes");
 
-    let mut bodies_by_backend: Vec<Vec<String>> = Vec::new();
-    for backend in [Backend::Csr, Backend::Succinct] {
-        let kb = synth.kb.clone().with_backend(backend);
-        let mut server = boot(kb.clone(), ServeConfig::default());
-        let mut client = Client::connect(server.addr()).unwrap();
-        let mut bodies = Vec::new();
+    let kb = synth.kb.clone();
+    let mut server = boot(kb.clone(), ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    for iri in &iris {
+        // Cold: mined on demand.
+        let cold = client
+            .get(&format!("/v1/describe/{}", percent_encode(iri)))
+            .unwrap();
+        assert_eq!(cold.status, 200, "{iri}: {}", cold.body);
+        assert_eq!(cold.header("x-remi-cache"), Some("miss"), "{iri}");
+        // The HTTP body is exactly the library rendering.
+        let direct = describe_body(&kb, iri, 1).unwrap();
+        assert_eq!(cold.body, direct, "describe({iri})");
 
-        for iri in &iris {
-            // Cold: mined on demand.
-            let cold = client
-                .get(&format!("/v1/describe/{}", percent_encode(iri)))
-                .unwrap();
-            assert_eq!(cold.status, 200, "{iri}: {}", cold.body);
-            assert_eq!(cold.header("x-remi-cache"), Some("miss"), "{iri}");
-            // The HTTP body is exactly the library rendering.
-            let direct = describe_body(&kb, iri, 1).unwrap();
-            assert_eq!(cold.body, direct, "describe({iri}) on {backend}");
+        // Warm: served from the cache, byte-identical.
+        let warm = client
+            .get(&format!("/v1/describe/{}", percent_encode(iri)))
+            .unwrap();
+        assert_eq!(warm.header("x-remi-cache"), Some("hit"), "{iri}");
+        assert_eq!(warm.body, cold.body, "cache changed bytes for {iri}");
 
-            // Warm: served from the cache, byte-identical.
-            let warm = client
-                .get(&format!("/v1/describe/{}", percent_encode(iri)))
-                .unwrap();
-            assert_eq!(warm.header("x-remi-cache"), Some("hit"), "{iri}");
-            assert_eq!(warm.body, cold.body, "cache changed bytes for {iri}");
-
-            // Summarize: same contract.
-            let summary = client
-                .get(&format!("/v1/summarize/{}?k=4", percent_encode(iri)))
-                .unwrap();
-            assert_eq!(summary.status, 200, "{iri}: {}", summary.body);
-            let direct = summarize_body(&kb, iri, 4, "remi").unwrap();
-            assert_eq!(summary.body, direct, "summarize({iri}) on {backend}");
-
-            bodies.push(cold.body);
-            bodies.push(summary.body);
-        }
-        bodies_by_backend.push(bodies);
-        server.shutdown();
+        // Summarize: same contract.
+        let summary = client
+            .get(&format!("/v1/summarize/{}?k=4", percent_encode(iri)))
+            .unwrap();
+        assert_eq!(summary.status, 200, "{iri}: {}", summary.body);
+        let direct = summarize_body(&kb, iri, 4, "remi").unwrap();
+        assert_eq!(summary.body, direct, "summarize({iri})");
     }
-
-    // The two backends answered byte-identically.
-    assert_eq!(
-        bodies_by_backend[0], bodies_by_backend[1],
-        "CSR and succinct servers disagree"
-    );
+    server.shutdown();
 }
 
-/// A server answers from the one layout it was booted on: a `backend`
-/// request parameter is unknown, so it is ignored like any other — it
-/// neither changes the cache key nor converts the KB.
+/// A server has one store layout: a `backend` request parameter is
+/// unknown, so it is ignored like any other — it neither changes the
+/// cache key nor the answer, and `/v1/stats` names no layout.
 #[test]
 fn backend_param_is_ignored_and_never_converts() {
     let synth = world();
     let iri = &target_iris(&synth)[0];
-    let mut server = boot(
-        synth.kb.clone().with_backend(Backend::Csr),
-        ServeConfig::default(),
-    );
+    let mut server = boot(synth.kb.clone(), ServeConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
     let path = format!("/v1/describe/{}", percent_encode(iri));
 
@@ -130,18 +112,17 @@ fn backend_param_is_ignored_and_never_converts() {
 
     let stats = client.get("/v1/stats").unwrap();
     let doc = remi_serve::json::parse(stats.body.as_bytes()).unwrap();
-    let backends = doc.get("backends").expect("stats lists backends");
-    assert_eq!(
-        backends.get("primary").and_then(|v| v.as_str()),
-        Some("csr"),
+    assert!(doc.get("backends").is_none(), "{}", stats.body);
+    let store_bytes = doc
+        .get("kb")
+        .and_then(|kb| kb.get("store_bytes"))
+        .and_then(|v| v.as_usize());
+    // The live store: the CSR base plus the (empty) delta overlay.
+    assert!(
+        store_bytes.is_some_and(|b| b >= synth.kb.store_memory().total()),
         "{}",
         stats.body
     );
-    let resident = backends
-        .get("resident")
-        .and_then(|v| v.as_array())
-        .expect("resident is a list");
-    assert_eq!(resident.len(), 1, "{}", stats.body);
     server.shutdown();
 }
 
@@ -300,7 +281,7 @@ fn batched_describe_matches_individual_gets() {
 }
 
 /// `POST /v1/query` answers exactly the library rendering, cold and
-/// cached, on both backends.
+/// cached.
 #[test]
 fn query_endpoint_is_cached_and_byte_identical_to_library_output() {
     let synth = world();
@@ -318,27 +299,20 @@ fn query_endpoint_is_cached_and_byte_identical_to_library_output() {
         remi_serve::json::escape(&pred)
     );
 
-    let mut bodies = Vec::new();
-    for backend in [Backend::Csr, Backend::Succinct] {
-        let kb = kb.clone().with_backend(backend);
-        let mut server = boot(kb.clone(), ServeConfig::default());
-        let mut client = Client::connect(server.addr()).unwrap();
+    let mut server = boot(kb.clone(), ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
 
-        let cold = client.post("/v1/query", &payload).unwrap();
-        assert_eq!(cold.status, 200, "{}", cold.body);
-        assert_eq!(cold.header("x-remi-cache"), Some("miss"));
-        let direct = query_body(&kb, &patterns, 5, None).unwrap();
-        assert_eq!(cold.body, direct, "query on {backend}");
-        assert!(cold.body.contains("\"truncated\":true"), "{}", cold.body);
+    let cold = client.post("/v1/query", &payload).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body);
+    assert_eq!(cold.header("x-remi-cache"), Some("miss"));
+    let direct = query_body(&kb, &patterns, 5, None).unwrap();
+    assert_eq!(cold.body, direct, "query");
+    assert!(cold.body.contains("\"truncated\":true"), "{}", cold.body);
 
-        let warm = client.post("/v1/query", &payload).unwrap();
-        assert_eq!(warm.header("x-remi-cache"), Some("hit"));
-        assert_eq!(warm.body, cold.body, "cache changed bytes");
-
-        bodies.push(cold.body);
-        server.shutdown();
-    }
-    assert_eq!(bodies[0], bodies[1], "backends disagree on /query");
+    let warm = client.post("/v1/query", &payload).unwrap();
+    assert_eq!(warm.header("x-remi-cache"), Some("hit"));
+    assert_eq!(warm.body, cold.body, "cache changed bytes");
+    server.shutdown();
 }
 
 /// Every route has one spelling, `/v1/…`: the legacy unprefixed paths,
@@ -627,7 +601,7 @@ fn slow_request_threshold_counts_and_logs() {
 
 /// `?explain=1` on `POST /query` carries the request's own plan trace,
 /// bypasses the cache in both directions, and renders the same explain
-/// object on both backends; plain requests stay explain-free.
+/// object on every request; plain requests stay explain-free.
 #[test]
 fn explain_param_embeds_plan_trace_and_bypasses_cache() {
     let synth = world();
@@ -643,51 +617,47 @@ fn explain_param_embeds_plan_trace_and_bypasses_cache() {
         remi_serve::json::escape(&pred)
     );
 
-    let mut explains = Vec::new();
-    for backend in [Backend::Csr, Backend::Succinct] {
-        let mut server = boot(kb.clone().with_backend(backend), ServeConfig::default());
-        let mut client = Client::connect(server.addr()).unwrap();
+    let mut server = boot(kb.clone(), ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
 
-        let plain = client.post("/v1/query", &payload).unwrap();
-        assert_eq!(plain.status, 200, "{}", plain.body);
-        assert_eq!(plain.header("x-remi-cache"), Some("miss"));
-        assert!(!plain.body.contains("\"explain\""), "{}", plain.body);
+    let plain = client.post("/v1/query", &payload).unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    assert_eq!(plain.header("x-remi-cache"), Some("miss"));
+    assert!(!plain.body.contains("\"explain\""), "{}", plain.body);
 
-        // Explain skips the cache probe even though the entry exists…
-        let explained = client.post("/v1/query?explain=1", &payload).unwrap();
-        assert_eq!(explained.status, 200, "{}", explained.body);
-        assert_eq!(explained.header("x-remi-cache"), Some("bypass"));
-        // …and the body is the plain body plus the trailing explain
-        // object: pattern order with estimated-vs-actual cardinalities
-        // and the join-path choice.
-        let prefix = &plain.body[..plain.body.len() - 1];
-        assert!(explained.body.starts_with(prefix), "{}", explained.body);
-        assert!(
-            explained.body.contains("\"explain\":{\"path\":"),
-            "{}",
-            explained.body
-        );
-        assert!(
-            explained
-                .body
-                .contains("\"patterns\":[{\"pattern\":0,\"estimated\":"),
-            "{}",
-            explained.body
-        );
-
-        // The cache entry was neither read nor replaced: the next plain
-        // request hits and its body is still explain-free.
-        let warm = client.post("/v1/query", &payload).unwrap();
-        assert_eq!(warm.header("x-remi-cache"), Some("hit"));
-        assert_eq!(warm.body, plain.body, "explain polluted the cache");
-
-        explains.push(explained.body);
-        server.shutdown();
-    }
-    assert_eq!(
-        explains[0], explains[1],
-        "explain traces must be backend-independent"
+    // Explain skips the cache probe even though the entry exists…
+    let explained = client.post("/v1/query?explain=1", &payload).unwrap();
+    assert_eq!(explained.status, 200, "{}", explained.body);
+    assert_eq!(explained.header("x-remi-cache"), Some("bypass"));
+    // …and the body is the plain body plus the trailing explain
+    // object: pattern order with estimated-vs-actual cardinalities
+    // and the join-path choice.
+    let prefix = &plain.body[..plain.body.len() - 1];
+    assert!(explained.body.starts_with(prefix), "{}", explained.body);
+    assert!(
+        explained.body.contains("\"explain\":{\"path\":"),
+        "{}",
+        explained.body
     );
+    assert!(
+        explained
+            .body
+            .contains("\"patterns\":[{\"pattern\":0,\"estimated\":"),
+        "{}",
+        explained.body
+    );
+
+    // The cache entry was neither read nor replaced: the next plain
+    // request hits and its body is still explain-free.
+    let warm = client.post("/v1/query", &payload).unwrap();
+    assert_eq!(warm.header("x-remi-cache"), Some("hit"));
+    assert_eq!(warm.body, plain.body, "explain polluted the cache");
+
+    // A second explain renders the same trace: it is a function of
+    // the request and the KB.
+    let again = client.post("/v1/query?explain=1", &payload).unwrap();
+    assert_eq!(again.body, explained.body);
+    server.shutdown();
 }
 
 /// `GET /v1/debug/events` exposes the flight recorder: planner events
@@ -842,20 +812,15 @@ fn cli_serve_round_trip() {
         cache_entries: 64,
         ..ServeConfig::default()
     };
-    let (mut handle, banner) = remi_cli::cmd_serve(&kb_path, None, config).unwrap();
+    let (mut handle, banner) = remi_cli::cmd_serve(&kb_path, config).unwrap();
     assert!(banner.contains("serving"), "{banner}");
-    // The banner names the layout actually served, not the flag.
-    assert!(banner.contains("(succinct backend"), "{banner}");
+    assert!(banner.contains("(cache 64 entries"), "{banner}");
 
     let mut client = Client::connect(handle.addr()).unwrap();
     let stats = client.get("/v1/stats").unwrap();
     assert_eq!(stats.status, 200);
-    // A binary KB file loads into the succinct backend natively.
-    assert!(
-        stats.body.contains("\"primary\":\"succinct\""),
-        "{}",
-        stats.body
-    );
+    assert!(stats.body.contains("\"store_bytes\":"), "{}", stats.body);
+    assert!(!stats.body.contains("backend"), "{}", stats.body);
     let kb = remi_cli::load_kb(&kb_path, 0.01).unwrap();
     let iri = kb
         .entity_ids()
